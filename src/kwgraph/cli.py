@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -140,16 +139,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _solver_seed() -> int:
-    raw = os.environ.get("KWGRAPH_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliInputError(f"KWGRAPH_SEED must be an integer, got {raw!r}") from exc
-
-
 def _report_doc(graph_arg: str, graph: Graph, report, requested_k: int) -> dict:
     return {
         "graph": graph_arg,
@@ -177,8 +166,7 @@ def _report_doc(graph_arg: str, graph: Graph, report, requested_k: int) -> dict:
 def cmd_solve(args) -> int:
     graph = _load_graph(args.graph)
     spectrum = compute_spectrum(graph)
-    opts = SolverOptions(grad_tol=args.tol, max_iters=args.max_iters,
-                         seed=_solver_seed())
+    opts = SolverOptions(grad_tol=args.tol, max_iters=args.max_iters)
     try:
         report = minimize(graph, spectrum, args.alpha, args.beta, args.k, opts)
     except UnboundedRegimeError as exc:

@@ -18,7 +18,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .calculus import dirichlet_energy, integrate, laplacian, mu_inner, project_mean_zero
 from .graphs import Graph, as_vertex_function
@@ -36,10 +35,18 @@ __all__ = [
 ]
 
 
+def _logsumexp(a: np.ndarray, b: np.ndarray | float = 1.0) -> float:
+    """log sum_x b_x e^{a_x} for positive weights b, shifted by max(a)."""
+    top = float(np.max(a))
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.sum(b * np.exp(a - top))))
+
+
 def log_integral_h_exp(g: Graph, u) -> float:
     """log integral(h e^u dmu), computed with max-shifting."""
     u = as_vertex_function(g, u)
-    return float(logsumexp(u, b=g.mu * g.h))
+    return _logsumexp(u, g.mu * g.h)
 
 
 def heu_weights(g: Graph, u) -> np.ndarray:
@@ -51,7 +58,7 @@ def heu_weights(g: Graph, u) -> np.ndarray:
     """
     u = as_vertex_function(g, u)
     logs = np.log(g.mu * g.h) + u
-    return np.exp(logs - logsumexp(logs))
+    return np.exp(logs - _logsumexp(logs))
 
 
 def eval_J(g: Graph, u, alpha: float, beta: float) -> float:
@@ -124,7 +131,7 @@ def heu_lower_bound(g: Graph, spectrum: Spectrum, u) -> HeuBound:
 
 
 def _log_tm_objective(g: Graph, theta: float, v: np.ndarray) -> float:
-    return float(logsumexp(theta * v * v, b=g.mu))
+    return _logsumexp(theta * v * v, g.mu)
 
 
 def _unit_energy(g: Graph, v: np.ndarray) -> np.ndarray | None:

@@ -29,7 +29,7 @@ import numpy as np
 from .functional import el_gradient, eval_J, heu_weights
 from .calculus import laplacian
 from .graphs import Graph, as_vertex_function
-from .spectral import Spectrum
+from .spectral import Spectrum, _canonical_sign
 from .verify import kw_residual, multipliers
 
 __all__ = [
@@ -48,9 +48,16 @@ __all__ = [
 ]
 
 # iterations of plain steepest descent before the damped Newton
-# direction is allowed even above newton_switch_tol; keeps badly
+# direction is allowed even above _NEWTON_SWITCH_TOL; keeps badly
 # conditioned spectra convergent within default max_iters
 _GD_ITER_CAP = 100
+
+# sufficient-decrease constant and step shrink factor of the line searches
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+
+# gradient sup-norm below which the damped Newton direction is tried
+_NEWTON_SWITCH_TOL = 1e-3
 
 # a probe certifies divergence when the ray reaches below this depth
 # with a strictly decreasing tail
@@ -100,32 +107,16 @@ class Regime:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and limits for :func:`minimize`.
-
-    ``seed`` feeds any randomized auxiliary routine (none in the
-    deterministic solve path itself); it exists so callers and the CLI
-    have a single seeding point.
-    """
+    """Tolerances and limits for :func:`minimize`."""
 
     grad_tol: float = 1e-10
     max_iters: int = 10_000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    newton_switch_tol: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0, 1), got {self.armijo_c!r}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack!r}")
-        if not self.newton_switch_tol > 0:
-            raise ValueError(
-                f"newton_switch_tol must be positive, got {self.newton_switch_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,26 +184,32 @@ def _subspace_basis(spectrum: Spectrum, j: int) -> np.ndarray:
 
 def _coord_gradient(g: Graph, basis: np.ndarray, u: np.ndarray,
                     alpha: float, beta: float) -> np.ndarray:
+    """Coordinate gradient, taken through the vertex-space gradient.
+
+    The closed form (lambda - alpha) c - beta B p would drift from the
+    Euler-Lagrange residual verify measures when |u| is large; going
+    through -Delta u keeps "converged" equivalent to "certifies".
+    """
     density = heu_weights(g, u) / g.mu
     grad = -laplacian(g, u) - alpha * u - beta * density
     return basis @ (g.mu * grad)
 
 
-def _projected_hessian(g: Graph, u: np.ndarray, alpha: float, beta: float,
-                       basis: np.ndarray) -> np.ndarray:
-    """Dense Hessian in subspace coordinates, assembled by polarization
-    of the second-variation quadratic form."""
-    from .functional import hessian_quadratic_form
+def _coord_shift(spectrum: Spectrum, j: int, alpha: float) -> np.ndarray:
+    """lambda_s - alpha for each row of ``_subspace_basis(spectrum, j)``."""
+    return np.repeat(spectrum.distinct_eigenvalues[j + 1:],
+                     spectrum.multiplicities[j + 1:]) - alpha
 
-    d = basis.shape[0]
-    hess = np.empty((d, d))
-    for i in range(d):
-        hess[i, i] = hessian_quadratic_form(g, u, alpha, beta, basis[i])
-        for j in range(i + 1, d):
-            plus = hessian_quadratic_form(g, u, alpha, beta, basis[i] + basis[j])
-            minus = hessian_quadratic_form(g, u, alpha, beta, basis[i] - basis[j])
-            hess[i, j] = hess[j, i] = 0.25 * (plus - minus)
-    return hess
+
+def _coord_hessian(g: Graph, u: np.ndarray, beta: float, basis: np.ndarray,
+                   shift: np.ndarray) -> np.ndarray:
+    """Hessian of J in the coordinates of the mu-orthonormal eigenbasis
+    rows: diag(lambda - alpha) - beta Cov_p(rows), p the normalized
+    h e^u measure."""
+    p = heu_weights(g, u)
+    mean = basis @ p
+    cov = (basis * p) @ basis.T - np.outer(mean, mean)
+    return np.diag(shift) - beta * cov
 
 
 def _levenberg_direction(hess: np.ndarray, gc: np.ndarray) -> np.ndarray | None:
@@ -235,21 +232,20 @@ def _levenberg_direction(hess: np.ndarray, gc: np.ndarray) -> np.ndarray | None:
 
 
 def _armijo(g: Graph, basis: np.ndarray, c: np.ndarray, u: np.ndarray, J: float,
-            direction: np.ndarray, slope: float, alpha: float, beta: float,
-            opts: SolverOptions):
+            direction: np.ndarray, slope: float, alpha: float, beta: float):
     step = 1.0
     for _ in range(80):
         c_new = c + step * direction
         u_new = c_new @ basis
         J_new = eval_J(g, u_new, alpha, beta)
-        if np.isfinite(J_new) and J_new <= J + opts.armijo_c * step * slope:
+        if np.isfinite(J_new) and J_new <= J + _ARMIJO_C * step * slope:
             return True, c_new, u_new, J_new
-        step *= opts.backtrack
+        step *= _BACKTRACK
     return False, c, u, J
 
 
-def _gradient_polish(g: Graph, basis: np.ndarray, c: np.ndarray, u: np.ndarray,
-                     alpha: float, beta: float, opts: SolverOptions):
+def _gradient_polish(g: Graph, basis: np.ndarray, shift: np.ndarray, c: np.ndarray,
+                     u: np.ndarray, alpha: float, beta: float, opts: SolverOptions):
     """Newton iteration accepted by gradient-norm decrease.
 
     Near a strict minimum the objective reaches its floating-point
@@ -262,7 +258,7 @@ def _gradient_polish(g: Graph, basis: np.ndarray, c: np.ndarray, u: np.ndarray,
     for _ in range(40):
         if gs <= opts.grad_tol:
             return True, c, u
-        hess = _projected_hessian(g, u, alpha, beta, basis)
+        hess = _coord_hessian(g, u, beta, basis, shift)
         p = _levenberg_direction(hess, gc)
         if p is None:
             return False, c, u
@@ -285,15 +281,11 @@ def _gradient_polish(g: Graph, basis: np.ndarray, c: np.ndarray, u: np.ndarray,
 
 def _escape_negative_curvature(g: Graph, basis: np.ndarray, c: np.ndarray,
                                u: np.ndarray, J: float, alpha: float, beta: float,
-                               evals: np.ndarray, evecs: np.ndarray,
-                               opts: SolverOptions):
+                               evals: np.ndarray, evecs: np.ndarray):
     """From a first-order critical point, walk down the most negative
     curvature direction; requires an actual decrease of a quarter of the
     model prediction before accepting."""
-    direction = evecs[:, 0].copy()
-    nonzero = np.flatnonzero(np.abs(direction) > 1e-12 * float(np.max(np.abs(direction))))
-    if len(nonzero) and direction[nonzero[0]] < 0:
-        direction = -direction
+    direction = _canonical_sign(evecs[:, 0])
     lam = abs(float(evals[0]))
     for sign in (1.0, -1.0):
         step = 1.0
@@ -303,7 +295,7 @@ def _escape_negative_curvature(g: Graph, basis: np.ndarray, c: np.ndarray,
             J_new = eval_J(g, u_new, alpha, beta)
             if np.isfinite(J_new) and J_new <= J - 0.25 * lam * step * step:
                 return True, c_new, u_new, J_new
-            step *= opts.backtrack
+            step *= _BACKTRACK
     return False, c, u, J
 
 
@@ -390,6 +382,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                          float(np.max(np.abs(grad))), 0,
                          SolveStatus.CONVERGED, tuple(trace))
 
+    shift = _coord_shift(spectrum, regime.subspace_index, alpha)
     c = np.zeros(basis.shape[0])
     status = SolveStatus.MAX_ITERS
     grad_sup = np.inf
@@ -398,7 +391,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
         gc = _coord_gradient(g, basis, u, alpha, beta)
         grad_sup = float(np.max(np.abs(gc @ basis)))
         if grad_sup <= opts.grad_tol:
-            hess = _projected_hessian(g, u, alpha, beta, basis)
+            hess = _coord_hessian(g, u, beta, basis, shift)
             evals, evecs = np.linalg.eigh(hess)
             curvature_floor = -1e-9 * (1.0 + float(np.max(np.abs(evals))))
             if evals[0] >= curvature_floor:
@@ -408,7 +401,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                 break
             it += 1
             moved, c, u, J = _escape_negative_curvature(
-                g, basis, c, u, J, alpha, beta, evals, evecs, opts)
+                g, basis, c, u, J, alpha, beta, evals, evecs)
             if not moved:
                 # second-order escape cannot improve J at representable
                 # step sizes; accept the point
@@ -420,8 +413,8 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
             break
         it += 1
         direction = None
-        if grad_sup < opts.newton_switch_tol or it > _GD_ITER_CAP:
-            hess = _projected_hessian(g, u, alpha, beta, basis)
+        if grad_sup < _NEWTON_SWITCH_TOL or it > _GD_ITER_CAP:
+            hess = _coord_hessian(g, u, beta, basis, shift)
             direction = _levenberg_direction(hess, gc)
         newton_tried = direction is not None
         if direction is None or float(gc @ direction) >= 0.0:
@@ -430,15 +423,15 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
         slope = float(gc @ direction)
         J_before = J
         accepted, c, u, J = _armijo(g, basis, c, u, J, direction, slope,
-                                    alpha, beta, opts)
+                                    alpha, beta)
         if not accepted and newton_tried:
             accepted, c, u, J = _armijo(g, basis, c, u, J, -gc,
-                                        -float(gc @ gc), alpha, beta, opts)
+                                        -float(gc @ gc), alpha, beta)
         if not accepted or J == J_before:
             # J can no longer measurably decrease; polish stationarity
             # through the gradient itself, then break honestly if even
             # that cannot reach tolerance
-            polished, c, u = _gradient_polish(g, basis, c, u, alpha, beta, opts)
+            polished, c, u = _gradient_polish(g, basis, shift, c, u, alpha, beta, opts)
             J = eval_J(g, u, alpha, beta)
             trace.append(J)
             if polished:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kwgraph
 from kwgraph import spectrum_from_dict
 from kwgraph.cli import main
 
@@ -137,14 +142,6 @@ def test_solve_missing_required_flag(capsys, k2_path):
     code, _, err = run_cli(capsys, "solve", str(k2_path), "--alpha", "0")
     assert code == 1
     assert "error" in err
-
-
-def test_solve_bad_seed_env(capsys, k2_path, monkeypatch):
-    monkeypatch.setenv("KWGRAPH_SEED", "not-an-int")
-    code, _, err = run_cli(capsys, "solve", str(k2_path),
-                           "--alpha", "0", "--beta", "1")
-    assert code == 1
-    assert "KWGRAPH_SEED" in err
 
 
 # ---------------------------------------------------------------- probe
@@ -305,3 +302,15 @@ def test_verify_claimed_multipliers_checked(capsys, k2_path, tmp_path):
     assert code == 5
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == ["multiplier_xi"]
+
+
+# ---------------------------------------------------------------- imports
+
+
+def test_cli_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(kwgraph.__file__).resolve().parents[1])}
+    code = ("import sys, kwgraph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

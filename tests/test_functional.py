@@ -60,6 +60,10 @@ def test_log_integral_matches_naive():
         assert np.isclose(log_integral_h_exp(g, u), naive, rtol=1e-12)
 
 
+def test_log_integral_infinite_entry(k2):
+    assert log_integral_h_exp(k2, [np.inf, 0.0]) == np.inf
+
+
 def test_heu_weights_normalized():
     rng = np.random.default_rng(33)
     for _ in range(20):

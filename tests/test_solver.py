@@ -16,6 +16,7 @@ from kwgraph import (
     compute_spectrum,
     default_eq_tol,
     eval_J,
+    hessian_quadratic_form,
     laplacian,
     minimize,
     mu_inner,
@@ -24,6 +25,7 @@ from kwgraph import (
     random_connected_graph,
     verify_candidate,
 )
+from kwgraph.solver import _coord_hessian, _coord_shift, _subspace_basis
 
 
 # ---------------------------------------------------------------- regimes
@@ -85,10 +87,6 @@ def test_solver_options_validation():
         SolverOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(armijo_c=1.5)
-    with pytest.raises(ValueError):
-        SolverOptions(backtrack=1.0)
 
 
 # ---------------------------------------------------------------- K2 line
@@ -319,3 +317,47 @@ def test_probe_deterministic(k2, k2_spec):
     b = probe_divergence(k2, k2_spec, 2.5, 1.0)
     assert a.samples == b.samples
     assert a.verdict is b.verdict
+
+
+# ---------------------------------------------------------------- coordinate Hessian
+
+
+def _polarized_hessian(g, u, alpha, beta, basis):
+    d = basis.shape[0]
+    hess = np.empty((d, d))
+    for i in range(d):
+        hess[i, i] = hessian_quadratic_form(g, u, alpha, beta, basis[i])
+        for j in range(i + 1, d):
+            plus = hessian_quadratic_form(g, u, alpha, beta, basis[i] + basis[j])
+            minus = hessian_quadratic_form(g, u, alpha, beta, basis[i] - basis[j])
+            hess[i, j] = hess[j, i] = 0.25 * (plus - minus)
+    return hess
+
+
+def _assert_coord_hessian_matches(g, spectrum, j, alpha, beta, rng):
+    basis = _subspace_basis(spectrum, j)
+    u = 2.0 * rng.standard_normal(basis.shape[0]) @ basis
+    closed = _coord_hessian(g, u, beta, basis, _coord_shift(spectrum, j, alpha))
+    polarized = _polarized_hessian(g, u, alpha, beta, basis)
+    scale = 1.0 + float(np.linalg.norm(polarized))
+    assert float(np.max(np.abs(closed - polarized))) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("beta", [-500.0, -5.0, 5.0, 500.0])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("graph_seed", [3, 4])
+def test_coord_hessian_matches_polarization(graph_seed, k, beta):
+    rng = np.random.default_rng(graph_seed)
+    g = random_connected_graph(rng, 9)
+    spectrum = compute_spectrum(g)
+    alpha = 0.5 * spectrum.eigenvalue(k + 1)
+    _assert_coord_hessian_matches(g, spectrum, k, alpha, beta, rng)
+
+
+@pytest.mark.parametrize("beta", [-500.0, -5.0, 5.0, 500.0])
+def test_coord_hessian_matches_polarization_repeated_eigenvalue(beta):
+    rng = np.random.default_rng(5)
+    g = complete_graph(5, h=rng.uniform(0.1, 10.0, size=5))
+    spectrum = compute_spectrum(g)
+    assert spectrum.multiplicities[1] == 4
+    _assert_coord_hessian_matches(g, spectrum, 0, 1.3, beta, rng)
