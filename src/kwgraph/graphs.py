@@ -10,6 +10,7 @@ edges. Vertex order is canonical: every per-vertex quantity (``mu``,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -135,11 +136,6 @@ def as_vertex_function(g: Graph, values: Sequence[float] | np.ndarray) -> np.nda
     return arr
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise GraphFormatError(message)
-
-
 def _as_number(value: object, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{context} must be a number, got {value!r}")
@@ -147,6 +143,10 @@ def _as_number(value: object, context: str) -> float:
     if not np.isfinite(out):
         raise GraphFormatError(f"{context} must be finite, got {out!r}")
     return out
+
+
+def _is_positive_float(value: object) -> bool:
+    return type(value) is float and 0.0 < value < math.inf
 
 
 def parse_graph(text: str) -> Graph:
@@ -162,53 +162,76 @@ def parse_graph(text: str) -> Graph:
     or nonpositive ``mu``/``h``/``w``. Connectivity is deliberately not
     checked here; run :func:`validate` for that.
     """
+    # Every check below runs once per record, and most messages embed a
+    # record's repr, so a message is built only once its check has
+    # failed. A number that is not a plain finite positive float goes
+    # through _as_number and the positivity checks, in the order they
+    # are reported.
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "top level must be a JSON object")
+    if not isinstance(doc, dict):
+        raise GraphFormatError("top level must be a JSON object")
     vertices = doc.get("vertices")
-    _require(isinstance(vertices, list) and len(vertices) > 0,
-             "'vertices' must be a non-empty list")
+    if not (isinstance(vertices, list) and len(vertices) > 0):
+        raise GraphFormatError("'vertices' must be a non-empty list")
     ids: list[str] = []
     mu: list[float] = []
     h: list[float] = []
     index: dict[str, int] = {}
     for entry in vertices:
-        _require(isinstance(entry, dict), f"vertex entry must be an object, got {entry!r}")
-        for fieldname in ("id", "mu", "h"):
-            _require(fieldname in entry, f"vertex entry missing '{fieldname}': {entry!r}")
-        vid = entry["id"]
-        _require(isinstance(vid, str), f"vertex id must be a string, got {vid!r}")
-        _require(vid not in index, f"duplicate vertex id '{vid}'")
-        mu_val = _as_number(entry["mu"], f"mu at vertex '{vid}'")
-        h_val = _as_number(entry["h"], f"h at vertex '{vid}'")
-        _require(mu_val > 0, f"nonpositive measure mu={mu_val!r} at vertex '{vid}'")
-        _require(h_val > 0, f"nonpositive h={h_val!r} at vertex '{vid}'")
+        if not isinstance(entry, dict):
+            raise GraphFormatError(f"vertex entry must be an object, got {entry!r}")
+        try:
+            vid, mu_val, h_val = entry["id"], entry["mu"], entry["h"]
+        except KeyError as exc:
+            raise GraphFormatError(
+                f"vertex entry missing '{exc.args[0]}': {entry!r}") from None
+        if not isinstance(vid, str):
+            raise GraphFormatError(f"vertex id must be a string, got {vid!r}")
+        if vid in index:
+            raise GraphFormatError(f"duplicate vertex id '{vid}'")
+        if not (_is_positive_float(mu_val) and _is_positive_float(h_val)):
+            mu_val = _as_number(mu_val, f"mu at vertex '{vid}'")
+            h_val = _as_number(h_val, f"h at vertex '{vid}'")
+            if not mu_val > 0:
+                raise GraphFormatError(
+                    f"nonpositive measure mu={mu_val!r} at vertex '{vid}'")
+            if not h_val > 0:
+                raise GraphFormatError(f"nonpositive h={h_val!r} at vertex '{vid}'")
         index[vid] = len(ids)
         ids.append(vid)
         mu.append(mu_val)
         h.append(h_val)
     edges_doc = doc.get("edges", [])
-    _require(isinstance(edges_doc, list), "'edges' must be a list")
+    if not isinstance(edges_doc, list):
+        raise GraphFormatError("'edges' must be a list")
     edges: list[tuple[int, int, float]] = []
     seen_pairs: set[tuple[int, int]] = set()
     for entry in edges_doc:
-        _require(isinstance(entry, dict), f"edge entry must be an object, got {entry!r}")
-        for fieldname in ("u", "v", "w"):
-            _require(fieldname in entry, f"edge entry missing '{fieldname}': {entry!r}")
-        for endpoint in (entry["u"], entry["v"]):
-            _require(isinstance(endpoint, str) and endpoint in index,
-                     f"edge references unknown vertex id {endpoint!r}")
-        i = index[entry["u"]]
-        j = index[entry["v"]]
-        _require(i != j, f"self-loop at vertex '{entry['u']}'")
-        pair = (min(i, j), max(i, j))
-        _require(pair not in seen_pairs,
-                 f"duplicate edge ('{ids[pair[0]]}', '{ids[pair[1]]}')")
+        if not isinstance(entry, dict):
+            raise GraphFormatError(f"edge entry must be an object, got {entry!r}")
+        try:
+            u, v, w = entry["u"], entry["v"], entry["w"]
+        except KeyError as exc:
+            raise GraphFormatError(
+                f"edge entry missing '{exc.args[0]}': {entry!r}") from None
+        for endpoint in (u, v):
+            if not (isinstance(endpoint, str) and endpoint in index):
+                raise GraphFormatError(f"edge references unknown vertex id {endpoint!r}")
+        i = index[u]
+        j = index[v]
+        if i == j:
+            raise GraphFormatError(f"self-loop at vertex '{u}'")
+        pair = (i, j) if i < j else (j, i)
+        if pair in seen_pairs:
+            raise GraphFormatError(f"duplicate edge ('{ids[pair[0]]}', '{ids[pair[1]]}')")
         seen_pairs.add(pair)
-        w = _as_number(entry["w"], f"weight on edge ('{entry['u']}', '{entry['v']}')")
-        _require(w > 0, f"nonpositive weight w={w!r} on edge ('{entry['u']}', '{entry['v']}')")
+        if not _is_positive_float(w):
+            w = _as_number(w, f"weight on edge ('{u}', '{v}')")
+            if not w > 0:
+                raise GraphFormatError(f"nonpositive weight w={w!r} on edge ('{u}', '{v}')")
         edges.append((i, j, w))
     return Graph(tuple(ids), np.array(mu), np.array(h), tuple(edges))
 

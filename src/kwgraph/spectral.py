@@ -4,9 +4,12 @@ The combinatorial Laplacian L = D - W is symmetrized to
 M^{-1/2} L M^{-1/2} (M = diag(mu)), decomposed with a dense symmetric
 eigensolver, and mapped back through M^{-1/2}, which makes the
 eigenvectors exactly mu-orthonormal up to rounding. Eigenvalues are
-grouped into distinct values at a relative tolerance; each group's
-basis is re-orthonormalized in the mu-inner product and given a
-deterministic sign (first nonzero entry positive).
+grouped into distinct values at a relative tolerance. The eigenvector of
+a simple eigenvalue is normalized in place in the mu-inner product; a
+group of multiplicity > 1 is re-orthonormalized by Gram-Schmidt in the
+mu-inner product. Every basis row gets a deterministic sign (first
+nonzero entry positive), and the bases are row views of one read-only
+n x n buffer.
 
 Eigenvalue groups are indexed 0..m-1 with lambda_0 = 0; E_k denotes the
 direct sum of the eigenspaces for lambda_1..lambda_k, and E_k^perp its
@@ -66,10 +69,24 @@ class Spectrum:
         return self.bases[k]
 
 
+def _negative_leading(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose first entry above 1e-12 * max|row| is negative."""
+    magnitude = np.abs(rows)
+    significant = magnitude > 1e-12 * magnitude.max(axis=1, keepdims=True)
+    first = significant.argmax(axis=1)
+    return rows[np.arange(len(rows)), first] < 0
+
+
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    nonzero = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
-    if len(nonzero) and v[nonzero[0]] < 0:
-        return -v
+    return -v if _negative_leading(v[None, :])[0] else v
+
+
+def _mu_normalize(mu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Divide ``v`` in place by its norm in the inner product weighted by ``mu``."""
+    norm = np.sqrt(float(np.dot(mu * v, v)))
+    if norm <= 1e-13:
+        raise np.linalg.LinAlgError("rank loss while orthonormalizing an eigenspace")
+    v /= norm
     return v
 
 
@@ -81,11 +98,13 @@ def _mu_orthonormalize(g: Graph, rows: np.ndarray) -> np.ndarray:
         for _ in range(2):
             for q in out:
                 v -= mu_inner(g, v, q) * q
-        norm = np.sqrt(mu_inner(g, v, v))
-        if norm <= 1e-13:
-            raise np.linalg.LinAlgError("rank loss while orthonormalizing an eigenspace")
-        out.append(v / norm)
+        out.append(_mu_normalize(g.mu, v))
     return np.array(out)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
@@ -97,43 +116,53 @@ def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Sp
     if not grouping_tol > 0:
         raise ValueError(f"grouping_tol must be positive, got {grouping_tol!r}")
     n = g.num_vertices
-    weights = np.zeros((n, n))
+    # L = D - W scaled to M^{-1/2} L M^{-1/2} in one buffer; the result
+    # is exactly symmetric because L and outer(s, s) are. Keep every
+    # floating-point operation here and below as it is: near-resonant
+    # solves change their outcome with the last bit of the spectrum.
+    lap = np.zeros((n, n))
     ei, ej, ew = g.edge_arrays
-    weights[ei, ej] = ew
-    weights[ej, ei] = ew
-    lap = np.diag(weights.sum(axis=1)) - weights
+    lap[ei, ej] = ew
+    lap[ej, ei] = ew
+    degree = lap.sum(axis=1)
+    np.subtract(0.0, lap, out=lap)
+    lap.reshape(-1)[::n + 1] += degree
     inv_sqrt_mu = 1.0 / np.sqrt(g.mu)
-    sym = lap * np.outer(inv_sqrt_mu, inv_sqrt_mu)
-    sym = 0.5 * (sym + sym.T)
-    evals, evecs = np.linalg.eigh(sym)
-    vectors = evecs * inv_sqrt_mu[:, None]
+    scaling = np.outer(inv_sqrt_mu, inv_sqrt_mu)
+    lap *= scaling
+    del scaling
+    evals, evecs = np.linalg.eigh(lap)
+    del lap
+    # eigenvectors as rows, mapped back through M^{-1/2}
+    rows = np.ascontiguousarray(evecs.T)
+    del evecs
+    rows *= inv_sqrt_mu
 
     scale = max(float(evals[-1]), 1.0)
-    groups: list[list[int]] = [[0]]
-    for idx in range(1, n):
-        if evals[idx] - evals[groups[-1][-1]] <= grouping_tol * scale:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    if len(groups[0]) != 1:
+    starts = np.flatnonzero(np.diff(evals) > grouping_tol * scale) + 1
+    bounds = np.concatenate(([0], starts, [n])).tolist()
+    if bounds[1] != 1:
         raise ValueError(
             "zero eigenvalue is not simple: the graph is disconnected (run validate)"
         )
 
-    distinct = [0.0]
-    multiplicities = [1]
-    bases: list[np.ndarray] = [np.full((1, n), 1.0 / np.sqrt(g.volume))]
-    for group in groups[1:]:
-        distinct.append(float(np.mean(evals[group])))
-        multiplicities.append(len(group))
-        block = _mu_orthonormalize(g, vectors[:, group].T)
-        bases.append(np.array([_canonical_sign(row) for row in block]))
-    for block in bases:
-        block.flags.writeable = False
+    distinct = evals[bounds[:-1]]
+    distinct[0] = 0.0
+    rows[0] = 1.0 / np.sqrt(g.volume)
+    for s in range(1, len(bounds) - 1):
+        a, b = bounds[s], bounds[s + 1]
+        if b - a == 1:
+            _mu_normalize(g.mu, rows[a])
+        else:
+            distinct[s] = np.mean(evals[a:b])
+            rows[a:b] = _mu_orthonormalize(g, rows[a:b])
+    flip = _negative_leading(rows)
+    rows[flip] = -rows[flip]
+    _read_only(rows)
     return Spectrum(
-        distinct_eigenvalues=np.array(distinct),
-        multiplicities=np.array(multiplicities, dtype=int),
-        bases=tuple(bases),
+        distinct_eigenvalues=_read_only(distinct),
+        multiplicities=_read_only(np.diff(bounds)),
+        bases=tuple(rows[a:b] for a, b in zip(bounds, bounds[1:])),
         grouping_tol=float(grouping_tol),
     )
 
@@ -180,12 +209,9 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
 
 def spectrum_from_dict(doc: dict) -> Spectrum:
     """Inverse of :func:`spectrum_to_dict`; ignores unknown keys."""
-    bases = tuple(np.array(block, dtype=float) for block in doc["bases"])
-    for block in bases:
-        block.flags.writeable = False
     return Spectrum(
-        distinct_eigenvalues=np.array(doc["distinct_eigenvalues"], dtype=float),
-        multiplicities=np.array(doc["multiplicities"], dtype=int),
-        bases=bases,
+        distinct_eigenvalues=_read_only(np.array(doc["distinct_eigenvalues"], dtype=float)),
+        multiplicities=_read_only(np.array(doc["multiplicities"], dtype=int)),
+        bases=tuple(_read_only(np.array(block, dtype=float)) for block in doc["bases"]),
         grouping_tol=float(doc["grouping_tol"]),
     )

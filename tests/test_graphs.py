@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,98 @@ def test_random_connected_graph_is_valid():
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(2, 41)))
         assert validate(g) == []
+
+
+def _doc(vertices, edges=None) -> str:
+    doc = {"vertices": vertices}
+    if edges is not None:
+        doc["edges"] = edges
+    return json.dumps(doc)
+
+
+_A = {"id": "a", "mu": 1.0, "h": 1.0}
+_B = {"id": "b", "mu": 1.0, "h": 1.0}
+
+
+# Full messages, as parse_graph has always worded them; when one record
+# breaks several rules, the first rule in this order is the one reported.
+PARSE_ERRORS = {
+    "malformed-json": ('{"vertices": [',
+                       "not valid JSON: Expecting value: line 1 column 15 (char 14)"),
+    "top-level-not-object": ("[]", "top level must be a JSON object"),
+    "vertices-empty": (_doc([]), "'vertices' must be a non-empty list"),
+    "vertex-not-object": (_doc([_A, 1]), "vertex entry must be an object, got 1"),
+    "vertex-missing-id": (_doc([{"mu": 1.0, "h": 1.0}]),
+                          "vertex entry missing 'id': {'mu': 1.0, 'h': 1.0}"),
+    "vertex-missing-mu": (_doc([{"id": "a", "h": 1.0}]),
+                          "vertex entry missing 'mu': {'id': 'a', 'h': 1.0}"),
+    "vertex-missing-h": (_doc([{"id": "a", "mu": 1.0}]),
+                         "vertex entry missing 'h': {'id': 'a', 'mu': 1.0}"),
+    "vertex-missing-all": (_doc([{}]), "vertex entry missing 'id': {}"),
+    "id-not-string": (_doc([{"id": 3, "mu": 1.0, "h": 1.0}]),
+                      "vertex id must be a string, got 3"),
+    "duplicate-id": (_doc([_A, _A]), "duplicate vertex id 'a'"),
+    "mu-bool": (_doc([{"id": "a", "mu": True, "h": 1.0}]),
+                "mu at vertex 'a' must be a number, got True"),
+    "h-string": (_doc([{"id": "a", "mu": 1.0, "h": "1"}]),
+                 "h at vertex 'a' must be a number, got '1'"),
+    "mu-nan": ('{"vertices": [{"id": "a", "mu": NaN, "h": 1.0}]}',
+               "mu at vertex 'a' must be finite, got nan"),
+    "h-inf": ('{"vertices": [{"id": "a", "mu": 1.0, "h": 1e400}]}',
+              "h at vertex 'a' must be finite, got inf"),
+    "mu-zero": (_doc([{"id": "a", "mu": 0.0, "h": 1.0}]),
+                "nonpositive measure mu=0.0 at vertex 'a'"),
+    "mu-negative-int": (_doc([{"id": "a", "mu": -2, "h": 1.0}]),
+                        "nonpositive measure mu=-2.0 at vertex 'a'"),
+    "h-negative": (_doc([{"id": "a", "mu": 1.0, "h": -0.5}]),
+                   "nonpositive h=-0.5 at vertex 'a'"),
+    "mu-negative-h-bool": (_doc([{"id": "a", "mu": -1.0, "h": False}]),
+                           "h at vertex 'a' must be a number, got False"),
+    "mu-and-h-negative": (_doc([{"id": "a", "mu": -1.0, "h": -1.0}]),
+                          "nonpositive measure mu=-1.0 at vertex 'a'"),
+    "edges-not-list": (_doc([_A, _B], {"u": "a"}), "'edges' must be a list"),
+    "edge-not-object": (_doc([_A, _B], [["a", "b", 1.0]]),
+                        "edge entry must be an object, got ['a', 'b', 1.0]"),
+    "edge-missing-u": (_doc([_A, _B], [{"v": "b", "w": 1.0}]),
+                       "edge entry missing 'u': {'v': 'b', 'w': 1.0}"),
+    "edge-missing-v": (_doc([_A, _B], [{"u": "a", "w": 1.0}]),
+                       "edge entry missing 'v': {'u': 'a', 'w': 1.0}"),
+    "edge-missing-w": (_doc([_A, _B], [{"u": "a", "v": "b"}]),
+                       "edge entry missing 'w': {'u': 'a', 'v': 'b'}"),
+    "edge-unknown-u": (_doc([_A, _B], [{"u": "c", "v": "b", "w": 1.0}]),
+                       "edge references unknown vertex id 'c'"),
+    "edge-unknown-v": (_doc([_A, _B], [{"u": "a", "v": "c", "w": 1.0}]),
+                       "edge references unknown vertex id 'c'"),
+    "edge-endpoint-not-string": (_doc([_A, _B], [{"u": 0, "v": "b", "w": 1.0}]),
+                                 "edge references unknown vertex id 0"),
+    "self-loop": (_doc([_A, _B], [{"u": "a", "v": "a", "w": 1.0}]),
+                  "self-loop at vertex 'a'"),
+    "duplicate-pair-reversed": (_doc([_A, _B], [{"u": "b", "v": "a", "w": 1.0},
+                                                {"u": "a", "v": "b", "w": 2.0}]),
+                                "duplicate edge ('a', 'b')"),
+    "weight-zero": (_doc([_A, _B], [{"u": "a", "v": "b", "w": 0.0}]),
+                    "nonpositive weight w=0.0 on edge ('a', 'b')"),
+    "weight-negative-int": (_doc([_A, _B], [{"u": "b", "v": "a", "w": -3}]),
+                            "nonpositive weight w=-3.0 on edge ('b', 'a')"),
+    "weight-bool": (_doc([_A, _B], [{"u": "a", "v": "b", "w": True}]),
+                    "weight on edge ('a', 'b') must be a number, got True"),
+    "weight-inf": (_doc([_A, _B], [{"u": "a", "v": "b", "w": -math.inf}]),
+                   "weight on edge ('a', 'b') must be finite, got -inf"),
+}
+
+
+@pytest.mark.parametrize("name", list(PARSE_ERRORS))
+def test_parse_error_messages_exact(name):
+    text, message = PARSE_ERRORS[name]
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+def test_parse_integer_values_become_floats():
+    g = parse_graph(_doc([{"id": "a", "mu": 2, "h": 1.0}, {"id": "b", "mu": 1.0, "h": 4}],
+                         [{"u": "a", "v": "b", "w": 3}]))
+    assert g.mu.tolist() == [2.0, 1.0] and g.mu.dtype == float
+    assert g.h.tolist() == [1.0, 4.0]
+    assert g.edges == ((0, 1, 3.0),)
+    assert type(g.edges[0][2]) is float

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from kwgraph import (
     Graph,
+    complete_graph,
     compute_spectrum,
     dirichlet_energy,
     integrate,
@@ -20,6 +21,7 @@ from kwgraph import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
+from kwgraph.spectral import DEFAULT_GROUPING_TOL, _mu_orthonormalize
 
 
 def all_eigenpairs(spectrum):
@@ -197,3 +199,86 @@ def test_weighted_path_spectrum_against_oracle():
     mine = np.repeat(spec.distinct_eigenvalues, spec.multiplicities)
     oracle = brute_eigenvalues(g)
     assert np.allclose(np.sort(mine), np.sort(oracle), atol=1e-10)
+
+
+@pytest.mark.parametrize("make", [
+    compute_spectrum,
+    lambda g: spectrum_from_dict(spectrum_to_dict(compute_spectrum(g))),
+], ids=["compute_spectrum", "spectrum_from_dict"])
+def test_spectrum_arrays_are_read_only(make):
+    spec = make(complete_graph(4))
+    for arr in (spec.distinct_eigenvalues, spec.multiplicities, *spec.bases):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 100
+
+
+def per_group_spectrum(g, grouping_tol=DEFAULT_GROUPING_TOL):
+    """Reference assembly: one dense build, then Gram-Schmidt on every
+    eigenvalue group and the canonical sign applied row by row."""
+    n = g.num_vertices
+    weights = np.zeros((n, n))
+    ei, ej, ew = g.edge_arrays
+    weights[ei, ej] = ew
+    weights[ej, ei] = ew
+    lap = np.diag(weights.sum(axis=1)) - weights
+    inv_sqrt_mu = 1.0 / np.sqrt(g.mu)
+    sym = lap * np.outer(inv_sqrt_mu, inv_sqrt_mu)
+    sym = 0.5 * (sym + sym.T)
+    evals, evecs = np.linalg.eigh(sym)
+    vectors = evecs * inv_sqrt_mu[:, None]
+    scale = max(float(evals[-1]), 1.0)
+    groups = [[0]]
+    for idx in range(1, n):
+        if evals[idx] - evals[groups[-1][-1]] <= grouping_tol * scale:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    if len(groups[0]) != 1:
+        raise ValueError("disconnected")
+
+    def signed(v):
+        nonzero = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
+        return -v if len(nonzero) and v[nonzero[0]] < 0 else v
+
+    distinct = [0.0]
+    bases = [np.full((1, n), 1.0 / np.sqrt(g.volume))]
+    for group in groups[1:]:
+        distinct.append(float(np.mean(evals[group])))
+        block = _mu_orthonormalize(g, vectors[:, group].T)
+        bases.append(np.array([signed(row) for row in block]))
+    return np.array(distinct), np.array([len(gr) for gr in groups]), bases
+
+
+def _wide_random_graphs():
+    rng = np.random.default_rng(31)
+    return [random_connected_graph(rng, n, mu_range=(1e-2, 1e2), w_range=(1e-2, 1e2),
+                                   h_range=(1e-2, 1e2), extra_edge_prob=p)
+            for n, p in ((3, 0.3), (12, 0.3), (40, 0.1), (90, 0.05))]
+
+
+@pytest.mark.parametrize("g", [
+    *_wide_random_graphs(),
+    complete_graph(5),
+    complete_graph(9),
+    path_graph(7),
+    Graph(("a",), np.array([2.0]), np.array([1.0]), ()),
+    complete_graph(2, mu=np.array([0.5, 3.0])),
+], ids=["random-n3", "random-n12", "random-n40", "random-n90", "K5", "K9", "P7",
+        "n1", "n2"])
+def test_compute_spectrum_bitwise_matches_per_group_assembly(g):
+    spec = compute_spectrum(g)
+    distinct, multiplicities, bases = per_group_spectrum(g)
+    assert np.array_equal(spec.distinct_eigenvalues, distinct)
+    assert np.array_equal(spec.multiplicities, multiplicities)
+    assert len(spec.bases) == len(bases)
+    for mine, ref in zip(spec.bases, bases):
+        assert mine.shape == ref.shape
+        assert np.array_equal(mine, ref)
+
+
+def test_compute_spectrum_and_reference_reject_disconnected_graph():
+    g = Graph(("a", "b", "c"), np.ones(3), np.ones(3), ((0, 1, 1.0),))
+    with pytest.raises(ValueError, match="disconnected"):
+        per_group_spectrum(g)
+    with pytest.raises(ValueError, match="disconnected"):
+        compute_spectrum(g)
