@@ -89,8 +89,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--alpha", type=float, required=True)
     pr.add_argument("--beta", type=float, required=True)
     pr.add_argument("--k", type=int, default=0)
-    pr.add_argument("--max-exp", type=int, default=20,
-                    help="sample t = 2^0 .. 2^max-exp along the ray")
     pr.add_argument("--csv", metavar="PATH", help="also write t,J samples as CSV")
     pr.set_defaults(func=cmd_probe)
 
@@ -186,8 +184,7 @@ def cmd_probe(args) -> int:
     graph = _load_graph(args.graph)
     spectrum = compute_spectrum(graph)
     try:
-        report = probe_divergence(graph, spectrum, args.alpha, args.beta,
-                                  args.k, args.max_exp)
+        report = probe_divergence(graph, spectrum, args.alpha, args.beta, args.k)
     except BoundedRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -196,7 +193,6 @@ def cmd_probe(args) -> int:
         "alpha": args.alpha,
         "beta": args.beta,
         "k": args.k,
-        "t_max_exponent": args.max_exp,
         "verdict": report.verdict.value,
         "direction": {vid: float(v) for vid, v in zip(graph.vertex_ids, report.direction)},
         "samples": [[t, value] for t, value in report.samples],
@@ -225,6 +221,8 @@ def _claimed_t(doc: dict):
     raw = doc.get("t_multipliers")
     if raw is None:
         return None
+    if not isinstance(raw, list):
+        raise CliInputError(f"'t_multipliers' must be a list, got {raw!r}")
     out = []
     for entry in raw:
         try:
@@ -233,7 +231,7 @@ def _claimed_t(doc: dict):
             else:
                 s, i, value = entry
                 out.append((int(s), int(i), float(value)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CliInputError(f"malformed t_multipliers entry {entry!r}") from exc
     return tuple(out)
 
@@ -256,17 +254,18 @@ def cmd_verify(args) -> int:
     u_doc = doc["u"]
     if not isinstance(u_doc, dict) or set(u_doc) != set(graph.vertex_ids):
         raise CliInputError("'u' must map every vertex id to a value, exactly once")
+    regime = doc.get("regime")
+    raw_k = doc.get("k", 0)
+    if isinstance(regime, dict):
+        raw_k = regime.get("subspace_index", raw_k)
     try:
         u = np.array([float(u_doc[vid]) for vid in graph.vertex_ids])
         alpha = float(doc["alpha"])
         beta = float(doc["beta"])
-    except (TypeError, ValueError) as exc:
+        k = int(raw_k)
+        claimed_xi = None if doc.get("xi") is None else float(doc["xi"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(f"non-numeric field in solution document: {exc}") from exc
-    regime = doc.get("regime", {})
-    k = int(regime.get("subspace_index", doc.get("k", 0))) if isinstance(regime, dict) else int(doc.get("k", 0))
-    claimed_xi = doc.get("xi")
-    if claimed_xi is not None:
-        claimed_xi = float(claimed_xi)
     checks = verify_candidate(graph, spectrum, u, alpha, beta, k, args.tol,
                               claimed_xi=claimed_xi, claimed_t=_claimed_t(doc))
     all_passed = all(c.passed for c in checks)

@@ -17,16 +17,26 @@ Levenberg-damped Newton near a critical point. Because the start u = 0
 is itself a critical point whenever h is constant, a converged gradient
 triggers a projected-Hessian check, and a direction of negative
 curvature is followed downhill before convergence is declared.
+
+Where no minimum exists, the divergence probe samples J along the ray
+t * u_{k+1,1}. How far out it samples is worked out from the spectrum:
+a closed-form quadratic envelope U(t) >= J(t u_{k+1,1}) gives the ray
+length at which U falls to twice DIVERGENCE_DEPTH, and the last sample
+certifies divergence when it lies below DIVERGENCE_DEPTH. The probe is
+inconclusive only when alpha lies below lambda_{k+1} inside eq_tol, or
+when that length is so large that float64 rounding of the quadratic
+term would swamp the depth.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import el_gradient, eval_J, heu_weights
+from .functional import el_gradient, eval_J, heu_weights, log_integral_h_exp
 from .calculus import laplacian
 from .graphs import Graph, as_vertex_function
 from .spectral import Spectrum, _canonical_sign
@@ -59,9 +69,13 @@ _BACKTRACK = 0.5
 # gradient sup-norm below which the damped Newton direction is tried
 _NEWTON_SWITCH_TOL = 1e-3
 
-# a probe certifies divergence when the ray reaches below this depth
-# with a strictly decreasing tail
+# a probe certifies divergence when its last sample lies below this depth
 DIVERGENCE_DEPTH = -1.0e5
+
+# a probe samples at least t = 2^0 .. 2^this along its ray
+_MIN_RAY_EXPONENT = 20
+
+_EPS = float(np.finfo(float).eps)
 
 
 class RegimeTag(enum.Enum):
@@ -74,7 +88,6 @@ class RegimeTag(enum.Enum):
 class SolveStatus(enum.Enum):
     CONVERGED = "Converged"
     MAX_ITERS = "MaxIters"
-    UNBOUNDED = "Unbounded"
 
 
 class ProbeVerdict(enum.Enum):
@@ -444,30 +457,62 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
 
 
 def probe_divergence(g: Graph, spectrum: Spectrum, alpha: float, beta: float,
-                     k: int = 0, t_max_exponent: int = 20) -> ProbeReport:
-    """Sample J_{alpha,beta} along the ray t * u_{k+1,1}, t = 2^0..2^{max}.
+                     k: int = 0) -> ProbeReport:
+    """Sample J_{alpha,beta} along the ray t * v, v = u_{k+1,1}, at t = 2^0..2^E.
 
     Only callable in regimes classified unbounded below; raises
-    :class:`BoundedRegimeError` otherwise. The verdict is ``unbounded``
-    when the ray reaches below ``DIVERGENCE_DEPTH`` with the last five
-    samples strictly decreasing, else ``inconclusive`` (a deeper
-    ``t_max_exponent`` usually resolves it).
+    :class:`BoundedRegimeError` otherwise. v is mean-zero and mu-unit, so
+    J(t v) = (lambda_{k+1} - alpha) t^2 / 2 - beta log integral(h e^{t v}),
+    and with x* = argmax v the log term is bounded on both sides:
+
+        log(mu(x*) h(x*)) + t v(x*) <= log integral(h e^{t v})
+                                    <= log integral(h) + t v(x*).
+
+    Taking the side that fits the sign of beta gives the envelope
+    J(t v) <= U(t) = a t^2 + b t + c with a = (lambda_{k+1} - alpha) / 2,
+    b = -beta v(x*), and c = -beta log(mu(x*) h(x*)) for beta > 0 or
+    c = -beta log integral(h) for beta <= 0. With t* the smallest t > 0
+    where U(t) <= 2 * DIVERGENCE_DEPTH, E = max(20, ceil(log2 t*)). E = 20
+    when U never gets that deep, or when t* lies so far out that rounding
+    of the quadratic term, about t^2 eps (|lambda_{k+1}| + |alpha|), could
+    reach 1e-3 |DIVERGENCE_DEPTH|; past that length samples are rounding
+    noise.
+
+    The verdict is ``unbounded`` when the last sample lies below
+    ``DIVERGENCE_DEPTH``, else ``inconclusive``. That happens only when
+    alpha lies below lambda_{k+1} inside eq_tol, where U turns back up,
+    or past the rounding cap.
     """
     regime = classify_regime(spectrum, alpha, beta, k)
     if regime.tag is not RegimeTag.UNBOUNDED_BELOW:
         raise BoundedRegimeError(
             f"(alpha={alpha}, beta={beta}, k={k}) classifies as "
             f"{regime.tag.value}; the functional is bounded below there")
-    if t_max_exponent < 0:
-        raise ValueError(f"t_max_exponent must be >= 0, got {t_max_exponent}")
+    lam = spectrum.eigenvalue(k + 1)
     direction = spectrum.bases[k + 1][0]
+    top = int(np.argmax(direction))
+    if beta > 0:
+        log_h = math.log(g.mu[top] * g.h[top])
+    else:
+        log_h = log_integral_h_exp(g, np.zeros(g.num_vertices))
+    # U(t) - 2 * DIVERGENCE_DEPTH = a t^2 + b t + c
+    a = 0.5 * (lam - alpha)
+    b = -beta * float(direction[top])
+    c = -beta * log_h - 2.0 * DIVERGENCE_DEPTH
+    exponent = _MIN_RAY_EXPONENT
+    disc = b * b - 4.0 * a * c
+    if disc >= 0.0 and math.sqrt(disc) > b:
+        # the first root past t = 0, written so that it stays accurate
+        # as a -> 0 and equals -c / b at a = 0
+        t_star = 2.0 * c / (math.sqrt(disc) - b)
+        noise = t_star * t_star * _EPS * (abs(lam) + abs(alpha))
+        if t_star > 2.0 ** _MIN_RAY_EXPONENT and noise <= -1e-3 * DIVERGENCE_DEPTH:
+            exponent = math.ceil(math.log2(t_star))
     samples = []
-    for exponent in range(t_max_exponent + 1):
-        t = float(2.0 ** exponent)
+    for e in range(exponent + 1):
+        t = float(2.0 ** e)
         samples.append((t, eval_J(g, t * direction, alpha, beta)))
-    tail = [value for _, value in samples[-5:]]
-    decreasing = len(tail) == 5 and all(b < a for a, b in zip(tail, tail[1:]))
-    if decreasing and samples[-1][1] < DIVERGENCE_DEPTH:
+    if samples[-1][1] < DIVERGENCE_DEPTH:
         verdict = ProbeVerdict.UNBOUNDED
     else:
         verdict = ProbeVerdict.INCONCLUSIVE

@@ -284,7 +284,7 @@ def test_regime_trichotomy():
             elif probe.samples[-1][1] >= -1e6:
                 failures.append((case_idx, "above-gap depth", beta,
                                  probe.samples[-1][1]))
-        probe = probe_divergence(g, spec, lam, 1.0, k=k, t_max_exponent=28)
+        probe = probe_divergence(g, spec, lam, 1.0, k=k)
         if probe.verdict is not ProbeVerdict.UNBOUNDED:
             failures.append((case_idx, "at-gap positive beta verdict"))
         report = minimize(g, spec, lam, 0.0, k=k)

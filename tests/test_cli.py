@@ -189,10 +189,14 @@ def test_probe_bounded_regime_exit_1(capsys, k2_path):
 
 
 def test_probe_inconclusive_exit_4(capsys, k2_path):
+    # alpha inside eq_tol below lambda_1 = 2: J(2^20 v) is about +83
     code, out, _ = run_cli(capsys, "probe", str(k2_path),
-                           "--alpha", "2", "--beta", "1", "--max-exp", "4")
+                           "--alpha", repr(2.0 - 1.5e-9), "--beta", "1e-3")
     assert code == 4
-    assert json.loads(out)["verdict"] == "inconclusive"
+    doc = json.loads(out)
+    assert doc["verdict"] == "inconclusive"
+    assert doc["samples"][-1][0] == 2.0 ** 20
+    assert doc["samples"][-1][1] > 0.0
 
 
 # ---------------------------------------------------------------- verify
@@ -274,6 +278,26 @@ def test_verify_missing_field(capsys, k2_path, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 1
     assert "beta" in err
+
+
+@pytest.mark.parametrize("extra", [
+    {"regime": {"subspace_index": None}},
+    {"k": [0]},
+    {"k": 1e400},
+    {"xi": [1.0]},
+    {"t_multipliers": 5},
+    {"t_multipliers": [[1e400, 0, 1.0]]},
+])
+def test_verify_malformed_field_is_input_error(capsys, k2_path, tmp_path, extra):
+    doc = {"graph": str(k2_path), "alpha": 0.0, "beta": 5.0,
+           "u": {"a": 0.0, "b": 0.0}, **extra}
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_verify_uses_regime_subspace(capsys, p3_path, tmp_path):

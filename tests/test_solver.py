@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from kwgraph import (
@@ -25,7 +29,12 @@ from kwgraph import (
     random_connected_graph,
     verify_candidate,
 )
-from kwgraph.solver import _coord_hessian, _coord_shift, _subspace_basis
+from kwgraph.solver import (
+    DIVERGENCE_DEPTH,
+    _coord_hessian,
+    _coord_shift,
+    _subspace_basis,
+)
 
 
 # ---------------------------------------------------------------- regimes
@@ -296,9 +305,34 @@ def test_probe_borderline_log_divergence(k2, k2_spec):
 
 
 def test_probe_inconclusive_when_shallow(k2, k2_spec):
-    report = probe_divergence(k2, k2_spec, 2.0, 1.0, t_max_exponent=4)
+    # alpha below lambda_1 = 2 but inside eq_tol: classified unbounded,
+    # yet the envelope turns back up before it reaches the depth
+    report = probe_divergence(k2, k2_spec, 2.0 - 1.5e-9, 1e-3)
     assert report.verdict is ProbeVerdict.INCONCLUSIVE
-    assert report.samples[-1][1] > -100.0
+    t, value = report.samples[-1]
+    assert t == 2.0 ** 20
+    assert 0.0 < value < 100.0
+
+
+@pytest.mark.parametrize("beta", [1e-200, 1e-310])
+def test_probe_inconclusive_past_rounding_cap(k2, k2_spec, beta):
+    # at alpha = lambda_1 the ray needed is ~1e5 / beta, far past the
+    # length where float64 rounding of the quadratic term swamps the depth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = probe_divergence(k2, k2_spec, 2.0, beta)
+    assert report.verdict is ProbeVerdict.INCONCLUSIVE
+    assert len(report.samples) == 21
+    assert all(np.isfinite(value) for _, value in report.samples)
+
+
+def test_probe_extends_ray_to_envelope_length(k2, k2_spec):
+    # J(t v) = -beta log(2 cosh(t / sqrt 2)) at alpha = lambda_1 on K2, which
+    # first drops below 2 * DIVERGENCE_DEPTH at t* ~ 2e5 sqrt 2 / beta
+    report = probe_divergence(k2, k2_spec, 2.0, 0.1)
+    assert report.verdict is ProbeVerdict.UNBOUNDED
+    assert [t for t, _ in report.samples] == [2.0 ** e for e in range(23)]
+    assert report.samples[-1][1] < DIVERGENCE_DEPTH
 
 
 def test_probe_samples_along_eigen_ray(p3, p3_spec):
@@ -317,6 +351,27 @@ def test_probe_deterministic(k2, k2_spec):
     b = probe_divergence(k2, k2_spec, 2.5, 1.0)
     assert a.samples == b.samples
     assert a.verdict is b.verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       k=st.sampled_from([0, 1]), at_gap=st.booleans(),
+       delta=st.floats(1e-6, 10.0), beta=st.floats(-50.0, 50.0),
+       positive_beta=st.floats(1.0, 50.0))
+def test_probe_certifies_unbounded_regimes(seed, n, k, at_gap, delta, beta,
+                                           positive_beta):
+    # alpha above lambda_{k+1} with any beta, or at it with beta > 0
+    g = random_connected_graph(np.random.default_rng(seed), n, (1e-2, 1e2),
+                               (1e-2, 1e2), (1e-2, 1e2))
+    spec = compute_spectrum(g)
+    assume(k <= spec.num_distinct - 2)
+    lam = spec.eigenvalue(k + 1)
+    alpha, beta = (lam, positive_beta) if at_gap else (lam + delta, beta)
+    report = probe_divergence(g, spec, alpha, beta, k)
+    assert report.verdict is ProbeVerdict.UNBOUNDED
+    assert [t for t, _ in report.samples[:21]] == [2.0 ** e for e in range(21)]
+    t, value = report.samples[-1]
+    assert eval_J(g, t * report.direction, alpha, beta) == value
 
 
 # ---------------------------------------------------------------- coordinate Hessian
