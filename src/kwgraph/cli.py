@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, GraphFormatError, parse_graph, validate
+from .graphs import Graph, GraphFormatError, _as_number, parse_graph, validate
 from .solver import (
     BoundedRegimeError,
     ProbeVerdict,
@@ -217,6 +217,14 @@ def _resolve_graph_path(raw: str, solution_dir: Path) -> Path:
     return path
 
 
+def _as_index(value: object, context: str) -> int:
+    """A whole JSON number, read like every other number of a document."""
+    number = _as_number(value, context)
+    if not number.is_integer():
+        raise CliInputError(f"{context} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def _claimed_t(doc: dict):
     raw = doc.get("t_multipliers")
     if raw is None:
@@ -227,12 +235,13 @@ def _claimed_t(doc: dict):
     for entry in raw:
         try:
             if isinstance(entry, dict):
-                out.append((int(entry["s"]), int(entry["i"]), float(entry["value"])))
+                s, i, value = entry["s"], entry["i"], entry["value"]
             else:
                 s, i, value = entry
-                out.append((int(s), int(i), float(value)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliInputError(f"malformed t_multipliers entry {entry!r}") from exc
+        context = f"t_multipliers entry {entry!r}"
+        out.append((_as_index(s, context), _as_index(i, context), _as_number(value, context)))
     return tuple(out)
 
 
@@ -258,14 +267,11 @@ def cmd_verify(args) -> int:
     raw_k = doc.get("k", 0)
     if isinstance(regime, dict):
         raw_k = regime.get("subspace_index", raw_k)
-    try:
-        u = np.array([float(u_doc[vid]) for vid in graph.vertex_ids])
-        alpha = float(doc["alpha"])
-        beta = float(doc["beta"])
-        k = int(raw_k)
-        claimed_xi = None if doc.get("xi") is None else float(doc["xi"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CliInputError(f"non-numeric field in solution document: {exc}") from exc
+    u = np.array([_as_number(u_doc[vid], f"u[{vid!r}]") for vid in graph.vertex_ids])
+    alpha = _as_number(doc["alpha"], "'alpha'")
+    beta = _as_number(doc["beta"], "'beta'")
+    k = _as_index(raw_k, "'k'")
+    claimed_xi = None if doc.get("xi") is None else _as_number(doc["xi"], "'xi'")
     checks = verify_candidate(graph, spectrum, u, alpha, beta, k, args.tol,
                               claimed_xi=claimed_xi, claimed_t=_claimed_t(doc))
     all_passed = all(c.passed for c in checks)

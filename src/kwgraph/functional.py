@@ -79,9 +79,13 @@ def el_gradient(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     equation with multipliers.
     """
     u = as_vertex_function(g, u)
+    return project_Ek_perp(spectrum, g, _vertex_gradient(g, u, alpha, beta), k)
+
+
+def _vertex_gradient(g: Graph, u: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """-Delta u - alpha u - beta h e^u / integral(h e^u), unprojected."""
     density = heu_weights(g, u) / g.mu
-    grad = -laplacian(g, u) - alpha * u - beta * density
-    return project_Ek_perp(spectrum, g, grad, k)
+    return -laplacian(g, u) - alpha * u - beta * density
 
 
 def hessian_quadratic_form(g: Graph, u, alpha: float, beta: float, phi) -> float:

@@ -139,7 +139,10 @@ def as_vertex_function(g: Graph, values: Sequence[float] | np.ndarray) -> np.nda
 def _as_number(value: object, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{context} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal past the float64 range
+        out = math.inf
     if not np.isfinite(out):
         raise GraphFormatError(f"{context} must be finite, got {out!r}")
     return out

@@ -12,11 +12,21 @@ alpha relative to lambda_{k+1} decides everything:
 - alpha > lambda_{k+1}: unbounded below along the lambda_{k+1} ray.
 
 Minimization runs in coordinates over a mu-orthonormal basis of the
-subspace: steepest descent with Armijo backtracking, switching to
-Levenberg-damped Newton near a critical point. Because the start u = 0
-is itself a critical point whenever h is constant, a converged gradient
-triggers a projected-Hessian check, and a direction of negative
-curvature is followed downhill before convergence is declared.
+subspace, from u = 0, as one loop. Every step is one backtracking
+search c + s d, s = 1, 1/2, ..., that takes the first point passing
+the step's acceptance test:
+
+1. Armijo decrease of J, along steepest descent, or along the
+   Levenberg-damped Newton direction once the gradient is small or
+   after _GD_ITER_CAP steps.
+2. Once J stops measurably decreasing, a damped Newton step that cuts
+   the projected gradient by 10%: near a strict minimum J reaches its
+   floating-point floor before the gradient reaches grad_tol.
+3. At a saddle (u = 0 is critical whenever h is constant), a quarter
+   of the model decrease along the most negative curvature direction.
+
+The loop converges where the gradient is below grad_tol and the
+projected Hessian has no negative curvature that J can follow.
 
 Where no minimum exists, the divergence probe samples J along the ray
 t * u_{k+1,1}. How far out it samples is worked out from the spectrum:
@@ -36,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import el_gradient, eval_J, heu_weights, log_integral_h_exp
-from .calculus import laplacian
-from .graphs import Graph, as_vertex_function
+from .functional import (_vertex_gradient, el_gradient, eval_J, heu_weights,
+                         log_integral_h_exp)
+from .graphs import Graph
 from .spectral import Spectrum, _canonical_sign
 from .verify import kw_residual, multipliers
 
@@ -134,7 +144,15 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Everything needed to certify a solve independently."""
+    """Everything needed to certify a solve independently.
+
+    ``iterations`` counts the accepted steps of every kind; ``trace``
+    holds J at the start and after each of them, so it has
+    ``iterations + 1`` entries and ends at ``objective``. ``grad_sup``
+    is the sup norm of the projected gradient at ``minimizer``. In the
+    eigenfunction regime the minimizer is u_{k+1,1}, no step is taken,
+    and ``grad_sup`` and ``residual_sup`` are taken at lambda_{k+1}.
+    """
 
     regime: Regime
     minimizer: np.ndarray
@@ -203,9 +221,7 @@ def _coord_gradient(g: Graph, basis: np.ndarray, u: np.ndarray,
     Euler-Lagrange residual verify measures when |u| is large; going
     through -Delta u keeps "converged" equivalent to "certifies".
     """
-    density = heu_weights(g, u) / g.mu
-    grad = -laplacian(g, u) - alpha * u - beta * density
-    return basis @ (g.mu * grad)
+    return basis @ (g.mu * _vertex_gradient(g, u, alpha, beta))
 
 
 def _coord_shift(spectrum: Spectrum, j: int, alpha: float) -> np.ndarray:
@@ -244,80 +260,50 @@ def _levenberg_direction(hess: np.ndarray, gc: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _armijo(g: Graph, basis: np.ndarray, c: np.ndarray, u: np.ndarray, J: float,
-            direction: np.ndarray, slope: float, alpha: float, beta: float):
+def _backtrack(basis: np.ndarray, c: np.ndarray, direction: np.ndarray, tries: int,
+               accept) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The first of c + s d, s = 1, 1/2, ... (``tries`` of them) whose
+    vertex function u passes the acceptance test, as (c, u, J).
+
+    ``accept(u, s)`` returns J(u) to accept the point and None to
+    reject it. Returns None when every trial is rejected.
+    """
     step = 1.0
-    for _ in range(80):
+    for _ in range(tries):
         c_new = c + step * direction
         u_new = c_new @ basis
-        J_new = eval_J(g, u_new, alpha, beta)
-        if np.isfinite(J_new) and J_new <= J + _ARMIJO_C * step * slope:
-            return True, c_new, u_new, J_new
+        J_new = accept(u_new, step)
+        if J_new is not None:
+            return c_new, u_new, J_new
         step *= _BACKTRACK
-    return False, c, u, J
+    return None
 
 
-def _gradient_polish(g: Graph, basis: np.ndarray, shift: np.ndarray, c: np.ndarray,
-                     u: np.ndarray, alpha: float, beta: float, opts: SolverOptions):
-    """Newton iteration accepted by gradient-norm decrease.
-
-    Near a strict minimum the objective reaches its floating-point
-    floor while the projected gradient can still sit above grad_tol;
-    progress is then invisible to any J-based line search, so the
-    stationarity condition is solved directly instead.
-    """
-    gc = _coord_gradient(g, basis, u, alpha, beta)
-    gs = float(np.max(np.abs(gc @ basis)))
-    for _ in range(40):
-        if gs <= opts.grad_tol:
-            return True, c, u
-        hess = _coord_hessian(g, u, beta, basis, shift)
-        p = _levenberg_direction(hess, gc)
-        if p is None:
-            return False, c, u
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            c_try = c + step * p
-            u_try = c_try @ basis
-            g_try = _coord_gradient(g, basis, u_try, alpha, beta)
-            gs_try = float(np.max(np.abs(g_try @ basis)))
-            if gs_try < 0.9 * gs:
-                c, u, gc, gs = c_try, u_try, g_try, gs_try
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return False, c, u
-    return gs <= opts.grad_tol, c, u
-
-
-def _escape_negative_curvature(g: Graph, basis: np.ndarray, c: np.ndarray,
-                               u: np.ndarray, J: float, alpha: float, beta: float,
-                               evals: np.ndarray, evecs: np.ndarray):
-    """From a first-order critical point, walk down the most negative
-    curvature direction; requires an actual decrease of a quarter of the
-    model prediction before accepting."""
-    direction = _canonical_sign(evecs[:, 0])
-    lam = abs(float(evals[0]))
-    for sign in (1.0, -1.0):
-        step = 1.0
-        for _ in range(60):
-            c_new = c + sign * step * direction
-            u_new = c_new @ basis
-            J_new = eval_J(g, u_new, alpha, beta)
-            if np.isfinite(J_new) and J_new <= J - 0.25 * lam * step * step:
-                return True, c_new, u_new, J_new
-            step *= _BACKTRACK
-    return False, c, u, J
+def _objective_below(g: Graph, u: np.ndarray, alpha: float, beta: float,
+                     bound: float) -> float | None:
+    """J(u) when it is finite and at most ``bound``, else None."""
+    J = eval_J(g, u, alpha, beta)
+    return J if np.isfinite(J) and J <= bound else None
 
 
 def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
-              alpha: float, beta: float, objective: float, grad_sup: float,
+              alpha: float, beta: float, objective: float, grad_sup: float | None,
               iterations: int, status: SolveStatus,
               trace: tuple[float, ...]) -> SolveReport:
-    xi, t = multipliers(g, spectrum, u, beta, regime.subspace_index)
-    r = kw_residual(g, spectrum, u, alpha, beta, regime.subspace_index)
+    """Certificate and report for a copy of u (so a kept report does not
+    pin the spectrum's n x n buffer); a grad_sup of None is computed here."""
+    j = regime.subspace_index
+    cert_alpha, cert_beta = alpha, beta
+    if regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION:
+        # the certificate for this regime is -Delta u = lambda_{j+1} u, so
+        # the reported gradient and residual use the eigenvalue, not the
+        # (up to eq_tol different) requested alpha
+        cert_alpha, cert_beta = spectrum.eigenvalue(j + 1), 0.0
+    if grad_sup is None:
+        grad = el_gradient(g, spectrum, u, cert_alpha, cert_beta, j)
+        grad_sup = float(np.max(np.abs(grad)))
+    xi, t = multipliers(g, spectrum, u, cert_beta, j)
+    r = kw_residual(g, spectrum, u, cert_alpha, cert_beta, j)
     u = u.copy()
     u.flags.writeable = False
     return SolveReport(
@@ -333,33 +319,6 @@ def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
         alpha=float(alpha),
         beta=float(beta),
         trace=trace,
-    )
-
-
-def _eigenfunction_report(g: Graph, spectrum: Spectrum, regime: Regime,
-                          alpha: float, beta: float) -> SolveReport:
-    # the certificate for this regime is -Delta u = lambda_{k+1} u, so
-    # the reported gradient and residual use the eigenvalue, not the
-    # (up to eq_tol different) requested alpha
-    k = regime.subspace_index
-    lam = spectrum.eigenvalue(k + 1)
-    u = spectrum.bases[k + 1][0]
-    grad = el_gradient(g, spectrum, u, lam, 0.0, k)
-    r = kw_residual(g, spectrum, u, lam, 0.0, k)
-    xi, t = multipliers(g, spectrum, u, 0.0, k)
-    return SolveReport(
-        regime=regime,
-        minimizer=u,
-        objective=0.0,
-        grad_sup=float(np.max(np.abs(grad))),
-        xi=xi,
-        t_multipliers=t,
-        residual_sup=float(np.max(np.abs(r))),
-        iterations=0,
-        status=SolveStatus.CONVERGED,
-        alpha=float(alpha),
-        beta=float(beta),
-        trace=(0.0,),
     )
 
 
@@ -380,76 +339,87 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
         raise UnboundedRegimeError(
             f"J is unbounded below for alpha={alpha}, beta={beta}, k={k}; "
             "use probe_divergence to certify a divergence ray")
+    j = regime.subspace_index
     if regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION:
-        return _eigenfunction_report(g, spectrum, regime, alpha, beta)
+        # u_{j+1,1} solves exactly, with J = 0 at alpha = lambda_{j+1}
+        return _finalize(g, spectrum, regime, spectrum.bases[j + 1][0], alpha, beta,
+                         0.0, None, 0, SolveStatus.CONVERGED, (0.0,))
 
-    basis = _subspace_basis(spectrum, regime.subspace_index)
-    n = g.num_vertices
-    u = np.zeros(n)
+    basis = _subspace_basis(spectrum, j)
+    u = np.zeros(g.num_vertices)
     J = eval_J(g, u, alpha, beta)
     trace = [J]
     if basis.shape[0] == 0:
         # E_j^perp = {0}: u = 0 is the whole subspace and solves exactly
-        grad = el_gradient(g, spectrum, u, alpha, beta, regime.subspace_index)
-        return _finalize(g, spectrum, regime, u, alpha, beta, J,
-                         float(np.max(np.abs(grad))), 0,
+        return _finalize(g, spectrum, regime, u, alpha, beta, J, None, 0,
                          SolveStatus.CONVERGED, tuple(trace))
 
-    shift = _coord_shift(spectrum, regime.subspace_index, alpha)
+    shift = _coord_shift(spectrum, j, alpha)
     c = np.zeros(basis.shape[0])
     status = SolveStatus.MAX_ITERS
-    grad_sup = np.inf
+    # set when an Armijo search can no longer measurably decrease J; the
+    # steps after it are accepted on the gradient until it is stationary
+    stalled = False
     it = 0
     while True:
         gc = _coord_gradient(g, basis, u, alpha, beta)
         grad_sup = float(np.max(np.abs(gc @ basis)))
         if grad_sup <= opts.grad_tol:
-            hess = _coord_hessian(g, u, beta, basis, shift)
-            evals, evecs = np.linalg.eigh(hess)
-            curvature_floor = -1e-9 * (1.0 + float(np.max(np.abs(evals))))
-            if evals[0] >= curvature_floor:
+            evals, evecs = np.linalg.eigh(_coord_hessian(g, u, beta, basis, shift))
+            if evals[0] >= -1e-9 * (1.0 + float(np.max(np.abs(evals)))):
                 status = SolveStatus.CONVERGED
                 break
-            if it >= opts.max_iters:
-                break
-            it += 1
-            moved, c, u, J = _escape_negative_curvature(
-                g, basis, c, u, J, alpha, beta, evals, evecs)
-            if not moved:
-                # second-order escape cannot improve J at representable
-                # step sizes; accept the point
-                status = SolveStatus.CONVERGED
-                break
-            trace.append(J)
-            continue
         if it >= opts.max_iters:
             break
-        it += 1
-        direction = None
-        if grad_sup < _NEWTON_SWITCH_TOL or it > _GD_ITER_CAP:
-            hess = _coord_hessian(g, u, beta, basis, shift)
-            direction = _levenberg_direction(hess, gc)
-        newton_tried = direction is not None
-        if direction is None or float(gc @ direction) >= 0.0:
-            direction = -gc
-            newton_tried = False
-        slope = float(gc @ direction)
-        J_before = J
-        accepted, c, u, J = _armijo(g, basis, c, u, J, direction, slope,
-                                    alpha, beta)
-        if not accepted and newton_tried:
-            accepted, c, u, J = _armijo(g, basis, c, u, J, -gc,
-                                        -float(gc @ gc), alpha, beta)
-        if not accepted or J == J_before:
-            # J can no longer measurably decrease; polish stationarity
-            # through the gradient itself, then break honestly if even
-            # that cannot reach tolerance
-            polished, c, u = _gradient_polish(g, basis, shift, c, u, alpha, beta, opts)
-            J = eval_J(g, u, alpha, beta)
-            trace.append(J)
-            if polished:
+        if grad_sup <= opts.grad_tol:
+            # a saddle: follow the most negative curvature either way, for
+            # a quarter of the decrease the quadratic model predicts
+            direction = _canonical_sign(evecs[:, 0])
+            curvature = abs(float(evals[0]))
+
+            def accept(v, s):
+                return _objective_below(g, v, alpha, beta, J - 0.25 * curvature * s * s)
+            step = (_backtrack(basis, c, direction, 60, accept)
+                    or _backtrack(basis, c, -direction, 60, accept))
+            if step is None:
+                # J cannot follow the curvature at representable step
+                # sizes; accept the point
+                status = SolveStatus.CONVERGED
+                break
+            stalled = False
+        elif stalled:
+            # J sits at its floating-point floor while the gradient is
+            # still above grad_tol, which no J-based test can see; cut
+            # the gradient itself with damped Newton steps
+            direction = _levenberg_direction(_coord_hessian(g, u, beta, basis, shift), gc)
+            if direction is None:
+                break
+
+            def accept(v, s):
+                gv = _coord_gradient(g, basis, v, alpha, beta)
+                if float(np.max(np.abs(gv @ basis))) < 0.9 * grad_sup:
+                    return eval_J(g, v, alpha, beta)
+                return None
+            step = _backtrack(basis, c, direction, 30, accept)
+            if step is None:
+                break
+        else:
+            direction = None
+            if grad_sup < _NEWTON_SWITCH_TOL or it >= _GD_ITER_CAP:
+                hess = _coord_hessian(g, u, beta, basis, shift)
+                direction = _levenberg_direction(hess, gc)
+            if direction is None:
+                direction = -gc
+            slope = float(gc @ direction)
+
+            def accept(v, s):
+                return _objective_below(g, v, alpha, beta, J + _ARMIJO_C * s * slope)
+            step = _backtrack(basis, c, direction, 80, accept)
+            stalled = step is None or step[2] == J
+            if step is None:
                 continue
-            break
+        c, u, J = step
+        it += 1
         trace.append(J)
 
     return _finalize(g, spectrum, regime, u, alpha, beta, J, grad_sup, it,
@@ -489,7 +459,9 @@ def probe_divergence(g: Graph, spectrum: Spectrum, alpha: float, beta: float,
             f"(alpha={alpha}, beta={beta}, k={k}) classifies as "
             f"{regime.tag.value}; the functional is bounded below there")
     lam = spectrum.eigenvalue(k + 1)
-    direction = spectrum.bases[k + 1][0]
+    # a copy, so a kept report does not pin the spectrum's n x n buffer
+    direction = spectrum.bases[k + 1][0].copy()
+    direction.flags.writeable = False
     top = int(np.argmax(direction))
     if beta > 0:
         log_h = math.log(g.mu[top] * g.h[top])

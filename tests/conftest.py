@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kwgraph import complete_graph, compute_spectrum, path_graph
+
+# the same examples on every run and machine, with no timing-based failures
+settings.register_profile("kwgraph", derandomize=True, deadline=None)
+settings.load_profile("kwgraph")
 
 
 @pytest.fixture(scope="session")

@@ -287,6 +287,21 @@ def test_verify_missing_field(capsys, k2_path, tmp_path):
     {"xi": [1.0]},
     {"t_multipliers": 5},
     {"t_multipliers": [[1e400, 0, 1.0]]},
+    # values that int() or float() would coerce into a valid candidate
+    {"k": 0.5},
+    {"k": False},
+    {"k": "0"},
+    {"regime": {"subspace_index": 0.5}},
+    {"alpha": "0.0"},
+    {"alpha": True},
+    {"beta": "5"},
+    {"xi": "0"},
+    {"xi": 10 ** 400},
+    {"u": {"a": "0", "b": 0.0}},
+    {"u": {"a": False, "b": 0.0}},
+    {"t_multipliers": [[0.5, 0, 1.0]]},
+    {"t_multipliers": [{"s": True, "i": 0, "value": 1.0}]},
+    {"t_multipliers": [[0, 0, "1.0"]]},
 ])
 def test_verify_malformed_field_is_input_error(capsys, k2_path, tmp_path, extra):
     doc = {"graph": str(k2_path), "alpha": 0.0, "beta": 5.0,

@@ -115,6 +115,13 @@ def test_parse_rejects_nonfinite_number():
         parse_graph(doc)
 
 
+def test_parse_rejects_integer_past_float_range():
+    # float() of a 400-digit integer raises OverflowError, not a format error
+    doc = K2_DOC.replace('"mu": 1.0, "h": 1.0},', f'"mu": {10 ** 400}, "h": 1.0}},', 1)
+    with pytest.raises(GraphFormatError, match="mu at vertex 'a' must be finite"):
+        parse_graph(doc)
+
+
 def test_validate_reports_disconnected():
     # parse succeeds (no per-record violation); validate flags connectivity
     doc = ('{"vertices": [{"id": "a", "mu": 1.0, "h": 1.0},'

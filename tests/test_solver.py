@@ -28,9 +28,11 @@ from kwgraph import (
     probe_divergence,
     random_connected_graph,
     verify_candidate,
+    verify_solution,
 )
 from kwgraph.solver import (
     DIVERGENCE_DEPTH,
+    _coord_gradient,
     _coord_hessian,
     _coord_shift,
     _subspace_basis,
@@ -264,6 +266,53 @@ def test_random_solves_verify():
         checks = verify_candidate(g, spec, report.minimizer, alpha, beta, k,
                                   tol=1e-8)
         assert all(c.passed for c in checks), [str(c) for c in checks]
+
+
+def test_max_iters_grad_sup_is_taken_at_minimizer():
+    # a near-resonance solve that ends MaxIters; its grad_sup once came
+    # from before the last line search (5.5e-10 against 1.48e-10 at u)
+    g = random_connected_graph(np.random.default_rng([20230818, 10, 0]), 10,
+                               extra_edge_prob=0.1)
+    spec = compute_spectrum(g)
+    alpha, beta = spec.eigenvalue(1) - 1e-8, 1.0
+    report = minimize(g, spec, alpha, beta)
+    basis = _subspace_basis(spec, 0)
+    gc = _coord_gradient(g, basis, report.minimizer, alpha, beta)
+    assert report.grad_sup == float(np.max(np.abs(gc @ basis)))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       k=st.sampled_from([0, 1]), fraction=st.floats(-1.0, 0.9),
+       beta=st.floats(-50.0, 50.0))
+def test_minimize_certifies_below_the_gap(seed, n, k, fraction, beta):
+    # alpha = fraction * lambda_{k+1} < lambda_{k+1}: J attains its minimum
+    # on E_k^perp for every beta
+    g = random_connected_graph(np.random.default_rng(seed), n, (1e-2, 1e2),
+                               (1e-2, 1e2), (1e-2, 1e2))
+    spec = compute_spectrum(g)
+    assume(k <= spec.num_distinct - 2)
+    alpha = fraction * spec.eigenvalue(k + 1)
+    report = minimize(g, spec, alpha, beta, k)
+    assert report.status is SolveStatus.CONVERGED
+    checks = verify_solution(g, spec, report, tol=1e-8)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+    scale = 1.0 + abs(report.objective)
+    assert abs(eval_J(g, report.minimizer, alpha, beta) - report.objective) <= 1e-12 * scale
+    assert report.objective <= eval_J(g, np.zeros(n), alpha, beta)
+    assert len(report.trace) == report.iterations + 1
+    assert float(np.max(np.diff(report.trace), initial=0.0)) <= 1e-9 * scale
+
+
+def test_reports_do_not_hold_the_spectrum_buffer(p3, p3_spec):
+    # a kept report must not pin the n x n buffer behind every basis
+    probe = probe_divergence(p3, p3_spec, 2.0, 0.0)
+    assert not np.shares_memory(probe.direction, p3_spec.bases[1])
+    assert not probe.direction.flags.writeable
+    report = minimize(p3, p3_spec, 1.0, 0.0)
+    assert np.array_equal(report.minimizer, p3_spec.bases[1][0])
+    assert not np.shares_memory(report.minimizer, p3_spec.bases[1])
+    assert not report.minimizer.flags.writeable
 
 
 def test_objective_general_alpha_beta_consistency(p3, p3_spec):
