@@ -34,6 +34,12 @@ for s, lam in enumerate(spec.distinct_eigenvalues):
         print(f"lambda_{s} = {lam:g}  eigen-residual = {residual:.2e}  v = {vec}")
 print()
 
+# Spectrum.split(k) gives the basis rows spanning E_k and E_k^perp
+e1, e1_perp = spec.split(1)
+print("E_1 rows:     ", e1.tolist())
+print("E_1^perp rows:", e1_perp.tolist())
+print()
+
 # splitting a function into constant + E_1 + E_1^perp parts
 u = np.array([2.0, -1.0, 0.5])
 mean = mu_inner(g, u, np.ones(3)) / g.volume
@@ -51,6 +57,6 @@ rng = np.random.default_rng(3)
 big = random_connected_graph(rng, 8)
 big_spec = compute_spectrum(big)
 print("random graph eigenvalues:", np.round(big_spec.distinct_eigenvalues, 4))
-rows = np.vstack(big_spec.bases)
+rows = big_spec.rows
 gram = (rows * big.mu) @ rows.T
 print("orthonormality gap:", np.max(np.abs(gram - np.eye(rows.shape[0]))))

@@ -5,120 +5,16 @@ for J_beta and J_{alpha,beta} over mean-zero and eigenspace-complement
 subspaces, classify every (alpha, beta) regime, and certify either a
 minimizer (residuals and multipliers) or unboundedness (divergence
 rays).
+
+The package exports exactly the names each library module lists in its
+own ``__all__``, as the same objects.
 """
 
-from .builders import complete_graph, path_graph, random_connected_graph
-from .calculus import (
-    dirichlet_energy,
-    gamma,
-    integrate,
-    laplacian,
-    mu_inner,
-    norm_one_alpha,
-    project_mean_zero,
-)
-from .functional import (
-    HeuBound,
-    el_gradient,
-    estimate_tm_constant,
-    eval_J,
-    heu_lower_bound,
-    heu_weights,
-    hessian_quadratic_form,
-    log_integral_h_exp,
-)
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    as_vertex_function,
-    parse_graph,
-    serialize_graph,
-    validate,
-)
-from .solver import (
-    BoundedRegimeError,
-    ProbeReport,
-    ProbeVerdict,
-    Regime,
-    RegimeTag,
-    SolveReport,
-    SolveStatus,
-    SolverOptions,
-    UnboundedRegimeError,
-    classify_regime,
-    default_eq_tol,
-    minimize,
-    probe_divergence,
-)
-from .spectral import (
-    DEFAULT_GROUPING_TOL,
-    Spectrum,
-    compute_spectrum,
-    poincare_constant,
-    project_Ek,
-    project_Ek_perp,
-    spectrum_from_dict,
-    spectrum_to_dict,
-)
-from .verify import (
-    CheckResult,
-    kw_residual,
-    multipliers,
-    verify_candidate,
-    verify_solution,
-)
+from . import builders, calculus, functional, graphs, solver, spectral, verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundedRegimeError",
-    "CheckResult",
-    "DEFAULT_GROUPING_TOL",
-    "Graph",
-    "GraphFormatError",
-    "HeuBound",
-    "ProbeReport",
-    "ProbeVerdict",
-    "Regime",
-    "RegimeTag",
-    "SolveReport",
-    "SolveStatus",
-    "SolverOptions",
-    "Spectrum",
-    "UnboundedRegimeError",
-    "as_vertex_function",
-    "classify_regime",
-    "complete_graph",
-    "compute_spectrum",
-    "default_eq_tol",
-    "dirichlet_energy",
-    "el_gradient",
-    "estimate_tm_constant",
-    "eval_J",
-    "gamma",
-    "heu_lower_bound",
-    "heu_weights",
-    "hessian_quadratic_form",
-    "integrate",
-    "kw_residual",
-    "laplacian",
-    "log_integral_h_exp",
-    "minimize",
-    "mu_inner",
-    "multipliers",
-    "norm_one_alpha",
-    "parse_graph",
-    "path_graph",
-    "poincare_constant",
-    "probe_divergence",
-    "project_Ek",
-    "project_Ek_perp",
-    "project_mean_zero",
-    "random_connected_graph",
-    "serialize_graph",
-    "spectrum_from_dict",
-    "spectrum_to_dict",
-    "validate",
-    "verify_candidate",
-    "verify_solution",
-]
+_MODULES = (builders, calculus, functional, graphs, solver, spectral, verify)
+globals().update({name: getattr(module, name)
+                  for module in _MODULES for name in module.__all__})
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, GraphFormatError, _as_number, parse_graph, validate
+from .graphs import Graph, _as_number, parse_graph, validate
 from .solver import (
     BoundedRegimeError,
     ProbeVerdict,
@@ -297,13 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (CliInputError, ValueError) as exc:
+        # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -63,6 +63,7 @@ __all__ = [
     "SolverOptions",
     "UnboundedRegimeError",
     "classify_regime",
+    "default_eq_tol",
     "minimize",
     "probe_divergence",
 ]
@@ -151,7 +152,8 @@ class SolveReport:
     ``iterations + 1`` entries and ends at ``objective``. ``grad_sup``
     is the sup norm of the projected gradient at ``minimizer``. In the
     eigenfunction regime the minimizer is u_{k+1,1}, no step is taken,
-    and ``grad_sup`` and ``residual_sup`` are taken at lambda_{k+1}.
+    and ``alpha`` is lambda_{k+1}, the value the classification matched
+    (the requested alpha may differ from it by up to eq_tol).
     """
 
     regime: Regime
@@ -182,16 +184,21 @@ def default_eq_tol(lam: float) -> float:
     return 1e-9 * (1.0 + abs(lam))
 
 
-def classify_regime(spectrum: Spectrum, alpha: float, beta: float, k: int = 0,
-                    eq_tol: float | None = None) -> Regime:
-    """Place (alpha, beta, k) in the trichotomy around lambda_{k+1}."""
+def classify_regime(spectrum: Spectrum, alpha: float, beta: float, k: int = 0) -> Regime:
+    """Place (alpha, beta, k) in the trichotomy around lambda_{k+1}, with
+    alpha = lambda_{k+1} meaning equal within ``default_eq_tol``.
+
+    Raises ValueError for a non-finite alpha or beta, or when
+    lambda_{k+1} does not exist.
+    """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}")
     m = spectrum.num_distinct
     if not 0 <= k <= m - 2:
         raise ValueError(
             f"k={k} out of range 0..{m - 2}: lambda_{{k+1}} must exist")
     lam = spectrum.eigenvalue(k + 1)
-    if eq_tol is None:
-        eq_tol = default_eq_tol(lam)
+    eq_tol = default_eq_tol(lam)
     if alpha < lam - eq_tol:
         return Regime(RegimeTag.MINIMIZER_IN_EK_PERP, k)
     if abs(alpha - lam) <= eq_tol:
@@ -202,15 +209,6 @@ def classify_regime(spectrum: Spectrum, alpha: float, beta: float, k: int = 0,
                           trivial_subspace=(k + 1 >= m - 1))
         return Regime(RegimeTag.UNBOUNDED_BELOW, k)
     return Regime(RegimeTag.UNBOUNDED_BELOW, k)
-
-
-def _subspace_basis(spectrum: Spectrum, j: int) -> np.ndarray:
-    """mu-orthonormal rows spanning E_j^perp."""
-    blocks = spectrum.bases[j + 1:]
-    if not blocks:
-        n = spectrum.bases[0].shape[1]
-        return np.empty((0, n))
-    return np.vstack(blocks)
 
 
 def _coord_gradient(g: Graph, basis: np.ndarray, u: np.ndarray,
@@ -225,7 +223,7 @@ def _coord_gradient(g: Graph, basis: np.ndarray, u: np.ndarray,
 
 
 def _coord_shift(spectrum: Spectrum, j: int, alpha: float) -> np.ndarray:
-    """lambda_s - alpha for each row of ``_subspace_basis(spectrum, j)``."""
+    """lambda_s - alpha for each row of ``spectrum.split(j)[1]``."""
     return np.repeat(spectrum.distinct_eigenvalues[j + 1:],
                      spectrum.multiplicities[j + 1:]) - alpha
 
@@ -293,17 +291,11 @@ def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
     """Certificate and report for a copy of u (so a kept report does not
     pin the spectrum's n x n buffer); a grad_sup of None is computed here."""
     j = regime.subspace_index
-    cert_alpha, cert_beta = alpha, beta
-    if regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION:
-        # the certificate for this regime is -Delta u = lambda_{j+1} u, so
-        # the reported gradient and residual use the eigenvalue, not the
-        # (up to eq_tol different) requested alpha
-        cert_alpha, cert_beta = spectrum.eigenvalue(j + 1), 0.0
     if grad_sup is None:
-        grad = el_gradient(g, spectrum, u, cert_alpha, cert_beta, j)
+        grad = el_gradient(g, spectrum, u, alpha, beta, j)
         grad_sup = float(np.max(np.abs(grad)))
-    xi, t = multipliers(g, spectrum, u, cert_beta, j)
-    r = kw_residual(g, spectrum, u, cert_alpha, cert_beta, j)
+    xi, t = multipliers(g, spectrum, u, beta, j)
+    r = kw_residual(g, spectrum, u, alpha, beta, j)
     u = u.copy()
     u.flags.writeable = False
     return SolveReport(
@@ -342,10 +334,11 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     j = regime.subspace_index
     if regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION:
         # u_{j+1,1} solves exactly, with J = 0 at alpha = lambda_{j+1}
-        return _finalize(g, spectrum, regime, spectrum.bases[j + 1][0], alpha, beta,
-                         0.0, None, 0, SolveStatus.CONVERGED, (0.0,))
+        return _finalize(g, spectrum, regime, spectrum.bases[j + 1][0],
+                         spectrum.eigenvalue(j + 1), beta, 0.0, None, 0,
+                         SolveStatus.CONVERGED, (0.0,))
 
-    basis = _subspace_basis(spectrum, j)
+    basis = spectrum.split(j)[1]
     u = np.zeros(g.num_vertices)
     J = eval_J(g, u, alpha, beta)
     trace = [J]

@@ -13,12 +13,14 @@ n x n buffer.
 
 Eigenvalue groups are indexed 0..m-1 with lambda_0 = 0; E_k denotes the
 direct sum of the eigenspaces for lambda_1..lambda_k, and E_k^perp its
-mu-orthogonal complement inside the mean-zero subspace H.
+mu-orthogonal complement inside the mean-zero subspace H. Both come from
+``Spectrum.split(k)`` as row slices of the buffer; every projection,
+multiplier and solver basis takes its rows from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,15 +45,24 @@ DEFAULT_GROUPING_TOL = 1e-8
 class Spectrum:
     """Distinct eigenvalues of -Delta with mu-orthonormal eigenbases.
 
-    ``bases[k]`` holds the eigenfunctions of the k-th distinct
-    eigenvalue as rows, mu-orthonormal across the entire spectrum;
-    ``bases[0]`` is the single constant Vol(V)^{-1/2}.
+    ``rows`` holds every eigenfunction as a row, in eigenvalue order,
+    mu-orthonormal across the entire spectrum; ``bases[k]`` is the view
+    of the rows spanning the k-th eigenspace, and ``bases[0]`` is the
+    single constant Vol(V)^{-1/2}.
     """
 
     distinct_eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    bases: tuple[np.ndarray, ...]
+    rows: np.ndarray
     grouping_tol: float
+    bases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.rows.shape[0] != int(np.sum(self.multiplicities)):
+            raise ValueError("multiplicities do not add up to the number of basis rows")
+        bounds = np.concatenate(([0], np.cumsum(self.multiplicities))).tolist()
+        object.__setattr__(self, "bases",
+                           tuple(self.rows[a:b] for a, b in zip(bounds, bounds[1:])))
 
     @property
     def num_distinct(self) -> int:
@@ -62,11 +73,12 @@ class Spectrum:
             raise IndexError(f"eigenvalue index {k} out of range 0..{self.num_distinct - 1}")
         return float(self.distinct_eigenvalues[k])
 
-    def basis(self, k: int) -> np.ndarray:
-        """Rows spanning the k-th eigenspace."""
-        if not 0 <= k < self.num_distinct:
-            raise IndexError(f"eigenvalue index {k} out of range 0..{self.num_distinct - 1}")
-        return self.bases[k]
+    def split(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows spanning E_k and rows spanning E_k^perp, as views of ``rows``."""
+        if not 0 <= k <= self.num_distinct - 1:
+            raise ValueError(f"k={k} out of range 0..{self.num_distinct - 1}")
+        start = int(np.sum(self.multiplicities[:k + 1]))
+        return self.rows[1:start], self.rows[start:]
 
 
 def _negative_leading(rows: np.ndarray) -> np.ndarray:
@@ -162,7 +174,7 @@ def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Sp
     return Spectrum(
         distinct_eigenvalues=_read_only(distinct),
         multiplicities=_read_only(np.diff(bounds)),
-        bases=tuple(rows[a:b] for a, b in zip(bounds, bounds[1:])),
+        rows=rows,
         grouping_tol=float(grouping_tol),
     )
 
@@ -170,13 +182,8 @@ def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Sp
 def project_Ek(spectrum: Spectrum, g: Graph, f, k: int) -> np.ndarray:
     """mu-orthogonal projection onto E_k = span of eigenspaces 1..k."""
     f = as_vertex_function(g, f)
-    if not 0 <= k <= spectrum.num_distinct - 1:
-        raise ValueError(f"k={k} out of range 0..{spectrum.num_distinct - 1}")
-    out = np.zeros_like(f)
-    for s in range(1, k + 1):
-        basis = spectrum.bases[s]
-        out += (basis @ (g.mu * f)) @ basis
-    return out
+    ek = spectrum.split(k)[0]
+    return (ek @ (g.mu * f)) @ ek
 
 
 def project_Ek_perp(spectrum: Spectrum, g: Graph, f, k: int) -> np.ndarray:
@@ -184,9 +191,6 @@ def project_Ek_perp(spectrum: Spectrum, g: Graph, f, k: int) -> np.ndarray:
 
     For k = 0 this is the plain mean-zero projection.
     """
-    f = as_vertex_function(g, f)
-    if not 0 <= k <= spectrum.num_distinct - 1:
-        raise ValueError(f"k={k} out of range 0..{spectrum.num_distinct - 1}")
     return project_mean_zero(g, f) - project_Ek(spectrum, g, f, k)
 
 
@@ -212,6 +216,7 @@ def spectrum_from_dict(doc: dict) -> Spectrum:
     return Spectrum(
         distinct_eigenvalues=_read_only(np.array(doc["distinct_eigenvalues"], dtype=float)),
         multiplicities=_read_only(np.array(doc["multiplicities"], dtype=int)),
-        bases=tuple(_read_only(np.array(block, dtype=float)) for block in doc["bases"]),
+        rows=_read_only(np.array([row for block in doc["bases"] for row in block],
+                                 dtype=float)),
         grouping_tol=float(doc["grouping_tol"]),
     )

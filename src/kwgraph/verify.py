@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import integrate, laplacian, mu_inner
+from .calculus import integrate, laplacian
 from .functional import heu_weights
 from .graphs import Graph, as_vertex_function
 from .spectral import Spectrum
@@ -39,11 +39,6 @@ class CheckResult:
         return f"{word} {self.name}: value={self.value!r} limit={self.limit!r}"
 
 
-def _check_k(spectrum: Spectrum, k: int) -> None:
-    if not 0 <= k <= spectrum.num_distinct - 1:
-        raise ValueError(f"k={k} out of range 0..{spectrum.num_distinct - 1}")
-
-
 def multipliers(g: Graph, spectrum: Spectrum, u, beta: float,
                 k: int) -> tuple[float, tuple[tuple[int, int, float], ...]]:
     """Closed-form Lagrange multipliers for the problem on E_k^perp.
@@ -54,14 +49,10 @@ def multipliers(g: Graph, spectrum: Spectrum, u, beta: float,
     (s, i, value) triples with i starting at 1.
     """
     u = as_vertex_function(g, u)
-    _check_k(spectrum, k)
-    xi = beta / g.volume
-    p = heu_weights(g, u)
-    t: list[tuple[int, int, float]] = []
-    for s in range(1, k + 1):
-        for i, vec in enumerate(spectrum.bases[s], start=1):
-            t.append((s, i, beta * float(p @ vec)))
-    return xi, tuple(t)
+    values = beta * (spectrum.split(k)[0] @ heu_weights(g, u))
+    labels = [(s, i) for s in range(1, k + 1)
+              for i in range(1, int(spectrum.multiplicities[s]) + 1)]
+    return beta / g.volume, tuple((s, i, float(v)) for (s, i), v in zip(labels, values))
 
 
 def kw_residual(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
@@ -76,13 +67,10 @@ def kw_residual(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     projected gradient up to rounding.
     """
     u = as_vertex_function(g, u)
-    _check_k(spectrum, k)
     xi, t = multipliers(g, spectrum, u, beta, k)
     density = heu_weights(g, u) / g.mu
     r = laplacian(g, u) + alpha * u + beta * density - xi
-    for s, i, value in t:
-        r = r - value * spectrum.bases[s][i - 1]
-    return r
+    return r - np.array([value for _, _, value in t]) @ spectrum.split(k)[0]
 
 
 def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
@@ -104,7 +92,7 @@ def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
       forms to tol, only when claims are supplied
     """
     u = as_vertex_function(g, u)
-    _check_k(spectrum, k)
+    ek = spectrum.split(k)[0]
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     checks: list[CheckResult] = []
@@ -113,10 +101,7 @@ def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     checks.append(CheckResult("mean_zero", mean_abs <= tol * g.volume,
                               mean_abs, tol * g.volume))
 
-    worst = 0.0
-    for s in range(1, k + 1):
-        for vec in spectrum.bases[s]:
-            worst = max(worst, abs(mu_inner(g, u, vec)))
+    worst = float(np.max(np.abs(ek @ (g.mu * u)), initial=0.0))
     checks.append(CheckResult("eigenspace_orthogonality", worst <= tol, worst, tol))
 
     r = kw_residual(g, spectrum, u, alpha, beta, k)

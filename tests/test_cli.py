@@ -144,6 +144,22 @@ def test_solve_missing_required_flag(capsys, k2_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "probe"])
+@pytest.mark.parametrize("flags", [
+    ("--alpha", "nan", "--beta", "1"),
+    ("--alpha", "0", "--beta", "nan"),
+    ("--alpha", "inf", "--beta", "0"),
+    ("--alpha=-inf", "--beta", "0"),
+    ("--alpha", "0", "--beta", "inf"),
+    ("--alpha", "0", "--beta=-inf"),
+], ids=["alpha-nan", "beta-nan", "alpha-inf", "alpha-neg-inf", "beta-inf", "beta-neg-inf"])
+def test_non_finite_alpha_or_beta_exit_1(capsys, k2_path, command, flags):
+    code, out, err = run_cli(capsys, command, str(k2_path), *flags)
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
 # ---------------------------------------------------------------- probe
 
 

@@ -35,7 +35,6 @@ from kwgraph.solver import (
     _coord_gradient,
     _coord_hessian,
     _coord_shift,
-    _subspace_basis,
 )
 
 
@@ -91,6 +90,20 @@ def test_classify_rejects_bad_k(p3, p3_spec):
         classify_regime(p3_spec, 0.0, 0.0, 2)
     with pytest.raises(ValueError, match="out of range"):
         classify_regime(p3_spec, 0.0, 0.0, -1)
+
+
+NON_FINITE = [(np.nan, 1.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0),
+              (0.0, np.inf), (0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("alpha, beta", NON_FINITE)
+def test_non_finite_alpha_or_beta_rejected(k2, k2_spec, alpha, beta):
+    with pytest.raises(ValueError, match="must be finite"):
+        classify_regime(k2_spec, alpha, beta)
+    with pytest.raises(ValueError, match="must be finite"):
+        minimize(k2, k2_spec, alpha, beta)
+    with pytest.raises(ValueError, match="must be finite"):
+        probe_divergence(k2, k2_spec, alpha, beta)
 
 
 def test_solver_options_validation():
@@ -196,6 +209,24 @@ def test_p3_eigenfunction_solution(p3, p3_spec):
     assert report.iterations == 0
 
 
+def test_eigenfunction_report_uses_matched_eigenvalue():
+    # alpha inside eq_tol but not equal to lambda_1 = 100100: the report
+    # gives alpha = lambda_1, so it certifies and its objective re-evaluates
+    g = complete_graph(2, mu=[1e-3, 1.0], weight=100.0)
+    spec = compute_spectrum(g)
+    lam = spec.eigenvalue(1)
+    alpha = lam + 0.9 * default_eq_tol(lam)
+    assert alpha != lam
+    report = minimize(g, spec, alpha, 0.0)
+    assert report.regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION
+    assert report.status is SolveStatus.CONVERGED
+    assert report.alpha == lam
+    checks = verify_solution(g, spec, report, tol=1e-8)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+    assert report.objective == 0.0
+    assert abs(eval_J(g, report.minimizer, report.alpha, report.beta)) <= 1e-9
+
+
 def test_trivial_next_perp_returns_zero(k2, k2_spec):
     report = minimize(k2, k2_spec, 2.0, -1.0)
     assert report.regime.trivial_subspace
@@ -276,7 +307,7 @@ def test_max_iters_grad_sup_is_taken_at_minimizer():
     spec = compute_spectrum(g)
     alpha, beta = spec.eigenvalue(1) - 1e-8, 1.0
     report = minimize(g, spec, alpha, beta)
-    basis = _subspace_basis(spec, 0)
+    basis = spec.split(0)[1]
     gc = _coord_gradient(g, basis, report.minimizer, alpha, beta)
     assert report.grad_sup == float(np.max(np.abs(gc @ basis)))
 
@@ -439,7 +470,7 @@ def _polarized_hessian(g, u, alpha, beta, basis):
 
 
 def _assert_coord_hessian_matches(g, spectrum, j, alpha, beta, rng):
-    basis = _subspace_basis(spectrum, j)
+    basis = spectrum.split(j)[1]
     u = 2.0 * rng.standard_normal(basis.shape[0]) @ basis
     closed = _coord_hessian(g, u, beta, basis, _coord_shift(spectrum, j, alpha))
     polarized = _polarized_hessian(g, u, alpha, beta, basis)

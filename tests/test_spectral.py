@@ -212,6 +212,45 @@ def test_spectrum_arrays_are_read_only(make):
             arr[-1] = 100
 
 
+def _stacked(blocks, n):
+    return np.vstack(blocks) if blocks else np.empty((0, n))
+
+
+@pytest.mark.parametrize("make", [
+    compute_spectrum,
+    lambda g: spectrum_from_dict(spectrum_to_dict(compute_spectrum(g))),
+], ids=["compute_spectrum", "spectrum_from_dict"])
+@pytest.mark.parametrize("graph", [
+    complete_graph(1),
+    path_graph(3),
+    complete_graph(5),
+    random_connected_graph(np.random.default_rng(7), 9, extra_edge_prob=0.3),
+], ids=["K1", "P3", "K5", "random9"])
+def test_split_is_zero_copy_stacked_bases(make, graph):
+    spec = make(graph)
+    n, m = graph.num_vertices, spec.num_distinct
+    assert spec.rows.shape == (n, n)
+    assert not spec.rows.flags.writeable
+    for k in range(m):
+        ek, perp = spec.split(k)
+        for rows in (spec.bases[k], ek, perp):
+            # views of the read-only buffer, never copies
+            assert not rows.flags.writeable
+            assert rows.size == 0 or np.shares_memory(rows, spec.rows)
+        assert np.array_equal(ek, _stacked(spec.bases[1:k + 1], n))
+        assert np.array_equal(perp, _stacked(spec.bases[k + 1:], n))
+    for k in (-1, m):
+        with pytest.raises(ValueError, match=rf"k={k} out of range 0\.\.{m - 1}"):
+            spec.split(k)
+
+
+def test_spectrum_from_dict_rejects_mismatched_multiplicities(p3_spec):
+    doc = spectrum_to_dict(p3_spec)
+    doc["multiplicities"] = [1, 1]
+    with pytest.raises(ValueError, match="multiplicities"):
+        spectrum_from_dict(doc)
+
+
 def per_group_spectrum(g, grouping_tol=DEFAULT_GROUPING_TOL):
     """Reference assembly: one dense build, then Gram-Schmidt on every
     eigenvalue group and the canonical sign applied row by row."""

@@ -5,6 +5,8 @@ import pytest
 
 from kwgraph import (
     complete_graph,
+    heu_weights,
+    laplacian,
     compute_spectrum,
     el_gradient,
     integrate,
@@ -13,6 +15,7 @@ from kwgraph import (
     mu_inner,
     multipliers,
     path_graph,
+    project_Ek,
     project_Ek_perp,
     random_connected_graph,
     verify_candidate,
@@ -95,6 +98,41 @@ def test_residual_is_minus_gradient_in_subspace():
         grad = el_gradient(g, spec, u, alpha, beta, k)
         scale = 1.0 + float(np.max(np.abs(grad)))
         assert float(np.max(np.abs(r + grad))) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("graph", [
+    complete_graph(5, h=np.linspace(0.5, 2.0, 5)),
+    random_connected_graph(np.random.default_rng(44), 11, extra_edge_prob=0.3),
+], ids=["K5", "random11"])
+def test_subspace_products_match_per_row_loops(graph):
+    # reference: one basis row at a time, as the products were first written
+    spec = compute_spectrum(graph)
+    rng = np.random.default_rng(45)
+    u = 3.0 * rng.standard_normal(graph.num_vertices)
+    alpha, beta = 0.7, -2.5
+    p = heu_weights(graph, u)
+    for k in range(spec.num_distinct):
+        rows = [(s, i, vec) for s in range(1, k + 1)
+                for i, vec in enumerate(spec.bases[s], start=1)]
+        t_ref = [(s, i, beta * float(p @ vec)) for s, i, vec in rows]
+        r_ref = laplacian(graph, u) + alpha * u + beta * p / graph.mu - beta / graph.volume
+        proj_ref = np.zeros(graph.num_vertices)
+        for _, _, vec in rows:
+            r_ref = r_ref - beta * float(p @ vec) * vec
+            proj_ref += mu_inner(graph, u, vec) * vec
+        worst_ref = max((abs(mu_inner(graph, u, vec)) for _, _, vec in rows), default=0.0)
+
+        _, t = multipliers(graph, spec, u, beta, k)
+        assert [key[:2] for key in t] == [key[:2] for key in t_ref]
+        for (_, _, mine), (_, _, ref) in zip(t, t_ref):
+            assert abs(mine - ref) <= 1e-12 * (1.0 + abs(ref))
+        r = kw_residual(graph, spec, u, alpha, beta, k)
+        assert np.max(np.abs(r - r_ref)) <= 1e-12 * (1.0 + np.max(np.abs(r_ref)))
+        proj = project_Ek(spec, graph, u, k)
+        assert np.max(np.abs(proj - proj_ref)) <= 1e-12 * (1.0 + np.max(np.abs(proj_ref)))
+        checks = {c.name: c for c in verify_candidate(graph, spec, u, alpha, beta, k)}
+        worst = checks["eigenspace_orthogonality"].value
+        assert abs(worst - worst_ref) <= 1e-12 * (1.0 + worst_ref)
 
 
 def test_verify_candidate_exact_solution(p3, p3_spec):
