@@ -113,7 +113,9 @@ def _load_graph(path: str | Path) -> Graph:
 
 
 def _emit(doc: dict, copy_path: str | None = None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    # a non-finite number raises ValueError (exit 1) before anything is
+    # written, so stdout is always strict JSON
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if copy_path:
         Path(copy_path).write_text(text, encoding="utf-8")

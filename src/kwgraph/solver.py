@@ -16,9 +16,17 @@ subspace, from u = 0, as one loop. Every step is one backtracking
 search c + s d, s = 1, 1/2, ..., that takes the first point passing
 the step's acceptance test:
 
-1. Armijo decrease of J, along steepest descent, or along the
-   Levenberg-damped Newton direction once the gradient is small or
-   after _GD_ITER_CAP steps.
+1. Armijo decrease of J along the Levenberg-damped Newton direction.
+   Where J may be non-convex, the first _GD_ITER_CAP steps go along
+   steepest descent instead, until the gradient is small. Where J is
+   strictly convex, so that its critical point is unique, Newton runs
+   from the first step; Cholesky then succeeds undamped, so each step
+   is plain Newton. The test is beta <= 0 or beta * max_{x,y} R_xy < 4,
+   with S = diag(lambda_s - alpha) > 0 on the subspace, B its basis and
+   R_xy = |S^-1/2 (B[:, x] - B[:, y])|^2. The coordinate Hessian is
+   S^1/2 (I - beta Cov_p(S^-1/2 B)) S^1/2, and by Popoviciu's inequality
+   every directional variance under p is at most max R / 4, so the
+   Hessian is positive definite at every u (see _strictly_convex).
 2. Once J stops measurably decreasing, a damped Newton step that cuts
    the projected gradient by 10%: near a strict minimum J reaches its
    floating-point floor before the gradient reaches grad_tol.
@@ -69,8 +77,9 @@ __all__ = [
 ]
 
 # iterations of plain steepest descent before the damped Newton
-# direction is allowed even above _NEWTON_SWITCH_TOL; keeps badly
-# conditioned spectra convergent within default max_iters
+# direction is allowed even above _NEWTON_SWITCH_TOL, where J may be
+# non-convex; keeps badly conditioned spectra convergent within default
+# max_iters. Where _strictly_convex holds, Newton runs from the start.
 _GD_ITER_CAP = 100
 
 # sufficient-decrease constant and step shrink factor of the line searches
@@ -137,8 +146,8 @@ class SolverOptions:
     max_iters: int = 10_000
 
     def __post_init__(self) -> None:
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
@@ -239,6 +248,26 @@ def _coord_hessian(g: Graph, u: np.ndarray, beta: float, basis: np.ndarray,
     return np.diag(shift) - beta * cov
 
 
+def _strictly_convex(basis: np.ndarray, shift: np.ndarray, beta: float) -> bool:
+    """Whether J is strictly convex on the span of ``basis``, so that its
+    critical point is unique: beta <= 0, or beta * max_{x,y} R_xy < 4.
+
+    With S = diag(shift) > 0 and G = B^T S^-1 B (B = basis),
+    R_xy = |S^-1/2 (B[:, x] - B[:, y])|^2 = G_xx + G_yy - 2 G_xy. The
+    coordinate Hessian is S^1/2 (I - beta Cov_p(S^-1/2 B)) S^1/2. For a
+    unit vector v, v^T Cov_p(S^-1/2 B) v is the variance under p of
+    f(x) = v^T S^-1/2 B[:, x], which by Popoviciu's inequality is at most
+    (max f - min f)^2 / 4 <= max R / 4 (Cauchy-Schwarz). So the Hessian
+    is positive definite at every u when beta max R < 4, and for
+    beta <= 0 because Cov_p is positive semidefinite.
+    """
+    if beta <= 0:
+        return True
+    green = (basis / shift[:, None]).T @ basis
+    diag = np.diag(green)
+    return beta * float(np.max(diag[:, None] + diag[None, :] - 2.0 * green)) < 4.0
+
+
 def _levenberg_direction(hess: np.ndarray, gc: np.ndarray) -> np.ndarray | None:
     """Solve (H + delta I) p = -g with delta doubled from 1e-8 until the
     Cholesky factorization succeeds."""
@@ -322,7 +351,9 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     minimum exists (use :func:`probe_divergence` there). Otherwise
     returns a report whose minimizer, multipliers, and residual can be
     re-certified by the verify module. The returned u is *a* minimizer;
-    no uniqueness is claimed.
+    it is the unique one where J is strictly convex (beta <= 0 among
+    others, see :func:`_strictly_convex`), and no uniqueness is claimed
+    elsewhere.
     """
     if opts is None:
         opts = SolverOptions()
@@ -348,6 +379,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                          SolveStatus.CONVERGED, tuple(trace))
 
     shift = _coord_shift(spectrum, j, alpha)
+    convex = _strictly_convex(basis, shift, beta)
     c = np.zeros(basis.shape[0])
     status = SolveStatus.MAX_ITERS
     # set when an Armijo search can no longer measurably decrease J; the
@@ -398,7 +430,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                 break
         else:
             direction = None
-            if grad_sup < _NEWTON_SWITCH_TOL or it >= _GD_ITER_CAP:
+            if convex or grad_sup < _NEWTON_SWITCH_TOL or it >= _GD_ITER_CAP:
                 hess = _coord_hessian(g, u, beta, basis, shift)
                 direction = _levenberg_direction(hess, gc)
             if direction is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import mu_inner, project_mean_zero
-from .graphs import Graph, as_vertex_function
+from .graphs import Graph, _connected, as_vertex_function
 
 __all__ = [
     "DEFAULT_GROUPING_TOL",
@@ -122,11 +122,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
     """Eigendecomposition of -Delta on a connected graph.
 
-    Raises ValueError for nonpositive ``grouping_tol`` or when the zero
-    eigenvalue is not simple (the graph is disconnected).
+    Raises ValueError for a ``grouping_tol`` that is not finite and
+    positive, or when the zero eigenvalue is not simple: the graph is
+    disconnected, or ``grouping_tol`` merged lambda_0 with lambda_1.
     """
-    if not grouping_tol > 0:
-        raise ValueError(f"grouping_tol must be positive, got {grouping_tol!r}")
+    if not 0 < grouping_tol < np.inf:
+        raise ValueError(f"grouping_tol must be finite and positive, got {grouping_tol!r}")
     n = g.num_vertices
     # L = D - W scaled to M^{-1/2} L M^{-1/2} in one buffer; the result
     # is exactly symmetric because L and outer(s, s) are. Keep every
@@ -154,6 +155,10 @@ def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Sp
     starts = np.flatnonzero(np.diff(evals) > grouping_tol * scale) + 1
     bounds = np.concatenate(([0], starts, [n])).tolist()
     if bounds[1] != 1:
+        if _connected(g):
+            raise ValueError(
+                f"grouping_tol={grouping_tol!r} merged lambda_0 = 0 with "
+                f"lambda_1 = {float(evals[1])!r}; use a smaller tolerance")
         raise ValueError(
             "zero eigenvalue is not simple: the graph is disconnected (run validate)"
         )

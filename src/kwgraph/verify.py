@@ -93,8 +93,8 @@ def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     """
     u = as_vertex_function(g, u)
     ek = spectrum.split(k)[0]
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     checks: list[CheckResult] = []
 
     mean_abs = abs(integrate(g, u))

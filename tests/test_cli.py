@@ -73,6 +73,15 @@ def test_spectrum_disconnected_graph(capsys, tmp_path):
     assert "disconnected" in err
 
 
+def test_spectrum_tol_merging_lambda1_names_the_tolerance(capsys, p3_path):
+    # the unit path P3 is connected; --tol 0.9 merges lambda_1 = 1 with 0
+    code, out, err = run_cli(capsys, "spectrum", str(p3_path), "--tol", "0.9")
+    assert code == 1
+    assert out == ""
+    assert "grouping_tol=0.9 merged lambda_0 = 0 with lambda_1 = " in err
+    assert "disconnected" not in err
+
+
 def test_unknown_flag(capsys, p3_path):
     code, _, err = run_cli(capsys, "spectrum", str(p3_path), "--frobnicate")
     assert code == 1
@@ -357,6 +366,36 @@ def test_verify_claimed_multipliers_checked(capsys, k2_path, tmp_path):
     assert code == 5
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == ["multiplier_xi"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "spectrum"])
+def test_infinite_tol_exit_1(capsys, k2_path, tmp_path, command):
+    # --tol inf once let a solve "converge" anywhere and verify pass any
+    # candidate, here one corrupted by +0.5 at one vertex
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", "8",
+                         "--json", str(report_path))
+    assert code == 0
+    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    doc["u"]["a"] += 0.5
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"solve": ["solve", str(k2_path), "--alpha", "0.1", "--beta", "3"],
+            "verify": ["verify", str(report_path)],
+            "spectrum": ["spectrum", str(k2_path)]}[command]
+    code, out, err = run_cli(capsys, *argv, "--tol", "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be finite and positive" in err
+
+
+def test_non_finite_output_is_an_error_not_json(capsys, k2_path):
+    # J along the probe ray overflows to -inf at beta = 1e308; strict JSON
+    # has no -Infinity, so nothing reaches stdout
+    code, out, err = run_cli(capsys, "probe", str(k2_path), "--alpha", "10",
+                             "--beta", "1e308")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 # ---------------------------------------------------------------- imports

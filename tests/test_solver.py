@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 
 from kwgraph import (
     BoundedRegimeError,
+    Graph,
     ProbeVerdict,
     RegimeTag,
     SolveStatus,
@@ -30,11 +32,13 @@ from kwgraph import (
     verify_candidate,
     verify_solution,
 )
+from kwgraph import solver
 from kwgraph.solver import (
     DIVERGENCE_DEPTH,
     _coord_gradient,
     _coord_hessian,
     _coord_shift,
+    _strictly_convex,
 )
 
 
@@ -111,6 +115,13 @@ def test_solver_options_validation():
         SolverOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+
+
+@pytest.mark.parametrize("grad_tol", [np.inf, np.nan, -1e-10])
+def test_solver_options_reject_non_finite_grad_tol(grad_tol):
+    # an infinite grad_tol once reported Converged for any first step
+    with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+        SolverOptions(grad_tol=grad_tol)
 
 
 # ---------------------------------------------------------------- K2 line
@@ -496,3 +507,111 @@ def test_coord_hessian_matches_polarization_repeated_eigenvalue(beta):
     spectrum = compute_spectrum(g)
     assert spectrum.multiplicities[1] == 4
     _assert_coord_hessian_matches(g, spectrum, 0, 1.3, beta, rng)
+
+
+# ---------------------------------------------------------------- convexity
+
+
+def _log_uniform_graph(seed, n):
+    """A random connected graph with mu, w and h log-uniform in 1e-2..1e2."""
+    rng = np.random.default_rng(seed)
+    tree = random_connected_graph(rng, n)
+
+    def draw(size):
+        return 10.0 ** rng.uniform(-2.0, 2.0, size)
+    weights = draw(len(tree.edges))
+    edges = tuple((i, j, float(w)) for (i, j, _), w in zip(tree.edges, weights))
+    return Graph(tree.vertex_ids, draw(n), draw(n), edges)
+
+
+def _convexity_setup(seed, n, k, fraction, next_perp):
+    """(graph, spectrum, alpha, j, basis, shift, G, R) with alpha =
+    fraction * lambda_{k+1} on E_k^perp, or alpha = lambda_{k+1} on
+    E_{k+1}^perp; None when that subspace is {0} or does not exist."""
+    g = _log_uniform_graph(seed, n)
+    spec = compute_spectrum(g)
+    j = k + 1 if next_perp else k
+    if j > spec.num_distinct - 2:
+        return None
+    alpha = spec.eigenvalue(k + 1) * (1.0 if next_perp else fraction)
+    basis = spec.split(j)[1]
+    shift = _coord_shift(spec, j, alpha)
+    green = (basis / shift[:, None]).T @ basis
+    r = np.diag(green)[:, None] + np.diag(green)[None, :] - 2.0 * green
+    return g, spec, alpha, j, basis, shift, green, r
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       k=st.sampled_from([0, 1]), fraction=st.floats(-1.0, 0.99),
+       next_perp=st.booleans(),
+       ratio=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.floats(-1e3, 0.0)),
+       scale_exp=st.floats(-2.0, 3.0))
+def test_convexity_test_implies_positive_definite_hessian(seed, n, k, fraction, next_perp,
+                                                          ratio, scale_exp):
+    # beta max R < 4 (or beta <= 0) makes the coordinate Hessian positive
+    # definite at every u; check it at 0, at a random u and at the
+    # two-point extremes u = t (G[:, x] - G[:, y])
+    setup = _convexity_setup(seed, n, k, fraction, next_perp)
+    assume(setup is not None)
+    g, _, _, _, basis, shift, green, r = setup
+    max_r = float(np.max(r))
+    beta = 4.0 * ratio / max_r
+    assert _strictly_convex(basis, shift, beta)
+    rng = np.random.default_rng(seed)
+    x, y = np.unravel_index(np.argmax(r), r.shape)
+    points = [np.zeros(n), (10.0 ** scale_exp * rng.standard_normal(basis.shape[0])) @ basis]
+    points += [t * (green[:, x] - green[:, y]) for t in (-1e3, -1.0, 1.0, 10.0, 1e3)]
+    # the bound holds for S^-1/2 H S^-1/2 = I - beta Cov_p(S^-1/2 B), a
+    # congruence that keeps the signs of the eigenvalues
+    scaling = 1.0 / np.sqrt(shift)
+    floor = 1.0 - max(beta, 0.0) * max_r / 4.0
+    for u in points:
+        hess = _coord_hessian(g, u, beta, basis, shift) * np.outer(scaling, scaling)
+        evals = np.linalg.eigvalsh(hess)
+        assert evals[0] > 0.0
+        assert evals[0] >= floor - 1e-9 * (1.0 + abs(beta) * max_r)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       k=st.sampled_from([0, 1]), fraction=st.floats(-1.0, 0.9),
+       next_perp=st.booleans(), beta=st.floats(-1e4, 0.0))
+def test_minimize_newton_certifies_nonpositive_beta(seed, n, k, fraction, next_perp, beta):
+    # beta <= 0: J is strictly convex, so Newton runs from u = 0 with no
+    # gradient warm-up. It converges fast to the warm-up path's minimizer
+    # and certifies wherever that path certifies. (Both miss the 1e-8
+    # residual on a few graphs whose lambda_1 eigenfunction leaks into
+    # the constants; see CHANGES.md.)
+    setup = _convexity_setup(seed, n, k, fraction, next_perp)
+    assume(setup is not None and (beta < 0 or not next_perp))
+    g, spec, alpha, j, _, _, _, _ = setup
+    report = minimize(g, spec, alpha, beta, k)
+    assert report.regime.subspace_index == j
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations <= 30
+    with mock.patch.object(solver, "_strictly_convex", return_value=False):
+        warm = minimize(g, spec, alpha, beta, k)
+    assert warm.status is SolveStatus.CONVERGED
+    assert abs(report.objective - warm.objective) <= 1e-12 * (1.0 + abs(warm.objective))
+    size = 1.0 + float(np.max(np.abs(warm.minimizer)))
+    assert float(np.max(np.abs(report.minimizer - warm.minimizer))) <= 1e-9 * size
+    failed = {c.name for c in verify_solution(g, spec, report, tol=1e-8) if not c.passed}
+    assert failed <= {c.name for c in verify_solution(g, spec, warm, tol=1e-8) if not c.passed}
+
+
+def test_convexity_test_is_nearly_tight():
+    # 5% above the bound the Hessian has negative curvature where p is
+    # split between the two vertices that attain max R
+    g, _, _, _, basis, shift, _, r = _convexity_setup(7, 8, 0, 0.5, False)
+    bound = 4.0 / float(np.max(r))
+    assert _strictly_convex(basis, shift, 0.99 * bound)
+    assert not _strictly_convex(basis, shift, 1.05 * bound)
+    x, y = np.unravel_index(np.argmax(r), r.shape)
+    p = np.full(g.num_vertices, 1e-9)
+    p[[x, y]] = 0.5
+    # on E_0^perp = H every full-support p is the h e^u measure of one u
+    u = np.log(p / (g.mu * g.h))
+    u -= float(np.dot(g.mu, u)) / g.volume
+    evals = np.linalg.eigvalsh(_coord_hessian(g, u, 1.05 * bound, basis, shift))
+    assert evals[0] < 0.0

@@ -183,6 +183,19 @@ def test_grouping_tol_must_be_positive(k2):
         compute_spectrum(k2, 0.0)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_grouping_tol_must_be_finite(k2, tol):
+    with pytest.raises(ValueError, match="grouping_tol must be finite and positive"):
+        compute_spectrum(k2, tol)
+
+
+def test_grouping_tol_merging_lambda1_is_not_called_disconnected():
+    # lambda_1 = 2 - sqrt(2) on the unit path P4; 0.9 * lambda_max merges it with 0
+    with pytest.raises(ValueError, match=r"grouping_tol=0\.9 merged lambda_0 = 0 with "
+                                         r"lambda_1 = 0\.58578"):
+        compute_spectrum(path_graph(4), 0.9)
+
+
 def test_spectrum_dict_round_trip(p3_spec):
     doc = spectrum_to_dict(p3_spec)
     back = spectrum_from_dict(doc)

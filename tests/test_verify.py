@@ -143,6 +143,13 @@ def test_verify_candidate_exact_solution(p3, p3_spec):
                      "kw_residual_l2", "residual_mean_zero"]
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0])
+def test_verify_candidate_tol_must_be_finite_and_positive(p3, p3_spec, tol):
+    # an infinite tol once passed any candidate
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        verify_candidate(p3, p3_spec, np.ones(3), 1.0, -1.0, 1, tol=tol)
+
+
 def test_verify_candidate_claimed_multipliers(p3, p3_spec):
     checks = verify_candidate(p3, p3_spec, np.zeros(3), 1.0, -1.0, 1, tol=1e-10,
                               claimed_xi=-1.0 / 3.0, claimed_t=((1, 1, 0.0),))
