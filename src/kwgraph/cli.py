@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +56,13 @@ class CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" and "-inf" as flags (before Python 3.13),
+        # so "--beta -1e-3" would lack its value; take every float literal
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     # argparse exits with code 2 by default, which collides with the
     # unbounded-regime code; route all flag errors through exit 1
     def error(self, message):
@@ -247,6 +256,11 @@ def _claimed_t(doc: dict):
     return tuple(out)
 
 
+def _finite_or_null(x: float) -> float | None:
+    # a failed check can measure inf, which strict JSON cannot hold
+    return x if math.isfinite(x) else None
+
+
 def cmd_verify(args) -> int:
     solution_path = Path(args.solution)
     try:
@@ -283,7 +297,8 @@ def cmd_verify(args) -> int:
         "tol": args.tol,
         "all_passed": all_passed,
         "checks": [
-            {"name": c.name, "passed": c.passed, "value": c.value, "limit": c.limit}
+            {"name": c.name, "passed": c.passed,
+             "value": _finite_or_null(c.value), "limit": _finite_or_null(c.limit)}
             for c in checks
         ],
     })

@@ -57,7 +57,7 @@ import numpy as np
 from .functional import (_vertex_gradient, el_gradient, eval_J, heu_weights,
                          log_integral_h_exp)
 from .graphs import Graph
-from .spectral import Spectrum, _canonical_sign
+from .spectral import Spectrum, _canonical_sign, _coord_shift
 from .verify import kw_residual, multipliers
 
 __all__ = [
@@ -229,12 +229,6 @@ def _coord_gradient(g: Graph, basis: np.ndarray, u: np.ndarray,
     through -Delta u keeps "converged" equivalent to "certifies".
     """
     return basis @ (g.mu * _vertex_gradient(g, u, alpha, beta))
-
-
-def _coord_shift(spectrum: Spectrum, j: int, alpha: float) -> np.ndarray:
-    """lambda_s - alpha for each row of ``spectrum.split(j)[1]``."""
-    return np.repeat(spectrum.distinct_eigenvalues[j + 1:],
-                     spectrum.multiplicities[j + 1:]) - alpha
 
 
 def _coord_hessian(g: Graph, u: np.ndarray, beta: float, basis: np.ndarray,

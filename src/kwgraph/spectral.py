@@ -81,6 +81,12 @@ class Spectrum:
         return self.rows[1:start], self.rows[start:]
 
 
+def _coord_shift(spectrum: Spectrum, j: int, alpha: float) -> np.ndarray:
+    """lambda_s - alpha for each row of ``spectrum.split(j)[1]``."""
+    return np.repeat(spectrum.distinct_eigenvalues[j + 1:],
+                     spectrum.multiplicities[j + 1:]) - alpha
+
+
 def _negative_leading(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows whose first entry above 1e-12 * max|row| is negative."""
     magnitude = np.abs(rows)

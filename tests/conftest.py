@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kwgraph import complete_graph, compute_spectrum, path_graph
+from kwgraph import Graph, complete_graph, compute_spectrum, path_graph, random_connected_graph
 
 # the same examples on every run and machine, with no timing-based failures
 settings.register_profile("kwgraph", derandomize=True, deadline=None)
@@ -86,3 +86,15 @@ def random_mean_zero(rng: np.random.Generator, g, scale: float = 1.0) -> np.ndar
     from kwgraph import project_mean_zero
 
     return project_mean_zero(g, scale * rng.standard_normal(g.num_vertices))
+
+
+def log_uniform_graph(seed: int, n: int) -> Graph:
+    """A random connected graph with mu, w and h log-uniform in 1e-2..1e2."""
+    rng = np.random.default_rng(seed)
+    tree = random_connected_graph(rng, n)
+
+    def draw(size):
+        return 10.0 ** rng.uniform(-2.0, 2.0, size)
+    weights = draw(len(tree.edges))
+    edges = tuple((i, j, float(w)) for (i, j, _), w in zip(tree.edges, weights))
+    return Graph(tree.vertex_ids, draw(n), draw(n), edges)

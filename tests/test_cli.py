@@ -169,6 +169,20 @@ def test_non_finite_alpha_or_beta_exit_1(capsys, k2_path, command, flags):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("beta", ["-1e-3", "-2E+0"])
+def test_negative_exponent_value_is_not_a_flag(capsys, k2_path, beta):
+    code, out, _ = run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", beta)
+    assert code == 0
+    assert json.loads(out)["beta"] == float(beta)
+
+
+def test_negative_infinity_value_is_not_a_flag(capsys, k2_path):
+    code, out, err = run_cli(capsys, "solve", str(k2_path), "--alpha", "-inf", "--beta", "0")
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
+
 # ---------------------------------------------------------------- probe
 
 
@@ -366,6 +380,28 @@ def test_verify_claimed_multipliers_checked(capsys, k2_path, tmp_path):
     assert code == 5
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert failed == ["multiplier_xi"]
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_non_finite_check_value_is_null(capsys, k2_path, tmp_path):
+    # a t_multipliers label that the recomputation lacks measures inf
+    report_path = tmp_path / "report.json"
+    run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", "8",
+            "--json", str(report_path))
+    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    doc["t_multipliers"] = [[1, 1, 0.0]]
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(report_path))
+    assert code == 5
+    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
+    assert checks["multiplier_t"]["passed"] is False
+    assert checks["multiplier_t"]["value"] is None
+    assert "FAIL multiplier_t: value=inf" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "spectrum"])

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwgraph import (
     Graph,
@@ -21,7 +27,7 @@ from kwgraph import (
     random_connected_graph,
 )
 
-from conftest import random_mean_zero
+from conftest import log_uniform_graph, random_mean_zero
 
 
 def test_eval_J_oracles(k2):
@@ -207,6 +213,81 @@ def test_tm_constant_argument_validation(k2):
     single = Graph(("a",), np.array([1.0]), np.array([1.0]), ())
     with pytest.raises(ValueError, match="trivial"):
         estimate_tm_constant(single, 1.0, budget=1)
+
+
+def _exact_green_diagonal(g):
+    """G_xx = y_x, where L y = e_x - mu / Vol and integral(y) = 0, solved in
+    exact rational arithmetic on the float inputs: an oracle free of the
+    eigensolver's rounding."""
+    n = g.num_vertices
+    mu = [Fraction(float(m)) for m in g.mu]
+    vol = sum(mu)
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, w in g.edges:
+        w = Fraction(float(w))
+        lap[i][j] -= w
+        lap[j][i] -= w
+        lap[i][i] += w
+        lap[j][j] += w
+    # one equation of L y = b is redundant; the mean-zero row replaces it
+    aug = [lap[r] + [int(r == x) - mu[r] / vol for x in range(n)] for r in range(n - 1)]
+    aug.append(mu + [Fraction(0)] * n)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col][col]
+        aug[col] = [a / head for a in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return np.array([float(aug[x][n + x]) for x in range(n)])
+
+
+def test_exact_green_diagonal_matches_spectrum(p3, p3_spec):
+    rows = p3_spec.rows[1:]
+    lam = np.repeat(p3_spec.distinct_eigenvalues[1:], p3_spec.multiplicities[1:])
+    expected = np.sum(rows * rows / lam[:, None], axis=0)
+    assert np.allclose(_exact_green_diagonal(p3), expected, rtol=1e-14)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       theta=st.floats(0.0, 10.0), budget=st.integers(1, 3))
+def test_tm_constant_bracket_and_budget_monotone(seed, n, theta, budget):
+    # Cauchy-Schwarz: mu_x e^{theta G_xx} <= sup <= sum_x mu_x e^{theta G_xx},
+    # and the estimate starts at the best point attaining v_x^2 = G_xx
+    g = log_uniform_graph(seed, n)
+    estimate = estimate_tm_constant(g, theta, budget)
+    assert estimate <= estimate_tm_constant(g, theta, budget + 1)
+    terms = theta * _exact_green_diagonal(g) + np.log(g.mu)
+    top = float(np.max(terms))
+    log_upper = top + math.log(float(np.sum(np.exp(terms - top))))
+    if estimate == math.inf:
+        assert log_upper > 709.0 - 1e-9
+    else:
+        log_estimate = math.log(estimate)
+        assert log_estimate >= math.log(g.volume) - 1e-12
+        assert top - 1e-12 <= log_estimate <= log_upper + 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.nan, -1.0, math.inf])
+def test_tm_constant_theta_must_be_finite_and_nonnegative(k2, theta):
+    # the power method's monotonicity rests on convexity, theta >= 0
+    with pytest.raises(ValueError, match="theta must be finite and >= 0"):
+        estimate_tm_constant(k2, theta, budget=1)
+
+
+def test_tm_constant_saturates_to_inf_without_warning(p3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_tm_constant(p3, 1e6, budget=2) == math.inf
+
+
+def test_tm_constant_disconnected_graph():
+    g = Graph(("a", "b", "c", "d"), np.ones(4), np.ones(4), ((0, 1, 1.0), (2, 3, 1.0)))
+    with pytest.raises(ValueError, match="disconnected"):
+        estimate_tm_constant(g, 1.0, budget=1)
 
 
 def test_norm_equivalence_lower_bound():

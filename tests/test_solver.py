@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 
 from kwgraph import (
     BoundedRegimeError,
-    Graph,
     ProbeVerdict,
     RegimeTag,
     SolveStatus,
@@ -40,6 +39,8 @@ from kwgraph.solver import (
     _coord_shift,
     _strictly_convex,
 )
+
+from conftest import log_uniform_graph
 
 
 # ---------------------------------------------------------------- regimes
@@ -512,23 +513,11 @@ def test_coord_hessian_matches_polarization_repeated_eigenvalue(beta):
 # ---------------------------------------------------------------- convexity
 
 
-def _log_uniform_graph(seed, n):
-    """A random connected graph with mu, w and h log-uniform in 1e-2..1e2."""
-    rng = np.random.default_rng(seed)
-    tree = random_connected_graph(rng, n)
-
-    def draw(size):
-        return 10.0 ** rng.uniform(-2.0, 2.0, size)
-    weights = draw(len(tree.edges))
-    edges = tuple((i, j, float(w)) for (i, j, _), w in zip(tree.edges, weights))
-    return Graph(tree.vertex_ids, draw(n), draw(n), edges)
-
-
 def _convexity_setup(seed, n, k, fraction, next_perp):
     """(graph, spectrum, alpha, j, basis, shift, G, R) with alpha =
     fraction * lambda_{k+1} on E_k^perp, or alpha = lambda_{k+1} on
     E_{k+1}^perp; None when that subspace is {0} or does not exist."""
-    g = _log_uniform_graph(seed, n)
+    g = log_uniform_graph(seed, n)
     spec = compute_spectrum(g)
     j = k + 1 if next_perp else k
     if j > spec.num_distinct - 2:
