@@ -110,9 +110,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side in order:
                     run[side] = run_once(roots[side], workload, seed, seconds)
                 runs[workload].append(run)
-                print(f"{workload} seed {seed}: setup_s parent "
-                      f"{run['parent']['metrics']['setup_s']:.3f} change "
-                      f"{run['change']['metrics']['setup_s']:.3f}", file=sys.stderr)
+                print(f"{workload} seed {seed} done", file=sys.stderr)
     for workload in workloads:
         doc["workloads"][workload] = {"summary": summarize(runs[workload], better),
                                       "runs": runs[workload]}
