@@ -4,14 +4,20 @@ A graph here is a finite vertex set with a positive measure ``mu``, a
 positive prescribed function ``h``, and undirected positively weighted
 edges. Vertex order is canonical: every per-vertex quantity (``mu``,
 ``h``, vertex functions, solver output) is an array aligned with
-``vertex_ids``.
+``vertex_ids``. Edges are stored once, as the aligned read-only arrays
+``edge_arrays``.
+
+The value rules (positive ``mu``, ``h`` and ``w``, no self-loops, no
+repeated vertex pair) live in one checker: :func:`validate` returns its
+messages, plus ``"disconnected"``, and :func:`parse_graph` raises the
+first of them. A document with several faults reports its structure and
+type errors first, then its value errors in record order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -31,45 +37,66 @@ class GraphFormatError(ValueError):
     """A graph document is malformed or breaks a per-record invariant."""
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
     """Finite weighted graph with vertex measure ``mu`` and prescribed ``h``.
 
-    Edges are undirected and stored once per unordered pair as
-    ``(i, j, w)`` index triples. Instances are immutable; the arrays are
-    marked read-only. Structural integrity (shapes, index ranges, unique
-    ids) is enforced at construction; value-level soundness (positivity,
-    no self-loops or duplicate pairs, connectivity) is reported by
-    :func:`validate` so that broken inputs can be diagnosed rather than
-    refused wholesale.
+    ``edges`` are undirected ``(i, j, w)`` index triples, one per
+    unordered pair. They are converted once into ``edge_arrays``
+    (``intp`` endpoints, ``float64`` weights), which is all the graph
+    stores; ``edges`` reads the triples back from those arrays.
+    Instances are immutable and every array is read-only.
+
+    Construction enforces structure: unique ids, array shapes, integer
+    endpoints (not bool) inside ``0..n-1`` and real weights, each column
+    judged by the dtype numpy gives it. Value-level soundness
+    (positivity, no self-loops or repeated pairs, connectivity) is
+    reported by :func:`validate`, so that broken inputs can be diagnosed
+    rather than refused wholesale.
     """
 
-    vertex_ids: tuple[str, ...]
-    mu: np.ndarray
-    h: np.ndarray
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self) -> None:
-        ids = tuple(str(v) for v in self.vertex_ids)
+    def __init__(self, vertex_ids: Sequence[str], mu, h,
+                 edges: Sequence[tuple[int, int, float]]) -> None:
+        ids = tuple(map(str, vertex_ids))
         n = len(ids)
         if len(set(ids)) != n:
             raise ValueError("vertex ids must be unique")
-        mu = np.array(self.mu, dtype=float)
-        h = np.array(self.h, dtype=float)
+        mu = np.array(mu, dtype=float)
+        h = np.array(h, dtype=float)
         if mu.shape != (n,):
             raise ValueError(f"mu has shape {mu.shape}, expected ({n},)")
         if h.shape != (n,):
             raise ValueError(f"h has shape {h.shape}, expected ({n},)")
-        edges = tuple((int(i), int(j), float(w)) for i, j, w in self.edges)
-        for i, j, _ in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) references a vertex outside 0..{n - 1}")
-        mu.flags.writeable = False
-        h.flags.writeable = False
-        object.__setattr__(self, "vertex_ids", ids)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "edges", edges)
+        if not edges:
+            ei, ej, ew = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+        elif set(map(len, edges)) != {3}:
+            raise ValueError("every edge must be an (i, j, w) triple")
+        else:
+            ei, ej, ew = (np.array(column) for column in zip(*edges))
+        if not (ei.dtype.kind in "iu" and ej.dtype.kind in "iu"):
+            raise ValueError(f"edge endpoints must be integers, got {ei.dtype} and {ej.dtype}")
+        if ew.dtype.kind not in "iuf":
+            raise ValueError(f"edge weights must be real numbers, got {ew.dtype}")
+        outside = np.flatnonzero((np.minimum(ei, ej) < 0) | (np.maximum(ei, ej) >= n))
+        if outside.size:
+            k = outside[0]
+            raise ValueError(
+                f"edge ({ei[k]}, {ej[k]}) references a vertex outside 0..{n - 1}")
+        edge_arrays = (ei.astype(np.intp, copy=False), ej.astype(np.intp, copy=False),
+                       ew.astype(float, copy=False))
+        for arr in (mu, h, *edge_arrays):
+            arr.flags.writeable = False
+        vars(self).update(vertex_ids=ids, mu=mu, h=h, edge_arrays=edge_arrays)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable; cannot delete '{name}'")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as ``(int, int, float)`` triples, read from ``edge_arrays``."""
+        return tuple(zip(*(arr.tolist() for arr in self.edge_arrays)))
 
     @property
     def num_vertices(self) -> int:
@@ -83,21 +110,6 @@ class Graph:
     @cached_property
     def mu_min(self) -> float:
         return float(np.min(self.mu))
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge endpoints and weights as aligned arrays ``(i, j, w)``."""
-        if self.edges:
-            ei = np.array([e[0] for e in self.edges], dtype=np.intp)
-            ej = np.array([e[1] for e in self.edges], dtype=np.intp)
-            ew = np.array([e[2] for e in self.edges], dtype=float)
-        else:
-            ei = np.empty(0, dtype=np.intp)
-            ej = np.empty(0, dtype=np.intp)
-            ew = np.empty(0, dtype=float)
-        for arr in (ei, ej, ew):
-            arr.flags.writeable = False
-        return ei, ej, ew
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -116,12 +128,12 @@ class Graph:
             self.vertex_ids == other.vertex_ids
             and np.array_equal(self.mu, other.mu)
             and np.array_equal(self.h, other.h)
-            and self.edges == other.edges
+            and all(map(np.array_equal, self.edge_arrays, other.edge_arrays))
         )
 
     def __repr__(self) -> str:
         return (
-            f"Graph({self.num_vertices} vertices, {len(self.edges)} edges, "
+            f"Graph({self.num_vertices} vertices, {len(self.edge_arrays[0])} edges, "
             f"volume={self.volume:g})"
         )
 
@@ -143,13 +155,13 @@ def _as_number(value: object, context: str) -> float:
         out = float(value)
     except OverflowError:  # an integer literal past the float64 range
         out = math.inf
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise GraphFormatError(f"{context} must be finite, got {out!r}")
     return out
 
 
-def _is_positive_float(value: object) -> bool:
-    return type(value) is float and 0.0 < value < math.inf
+def _is_finite_float(value: object) -> bool:
+    return type(value) is float and math.isfinite(value)
 
 
 def parse_graph(text: str) -> Graph:
@@ -160,16 +172,18 @@ def parse_graph(text: str) -> Graph:
         {"vertices": [{"id": "a", "mu": 1.0, "h": 1.0}, ...],
          "edges":    [{"u": "a", "v": "b", "w": 1.0}, ...]}
 
-    Raises :class:`GraphFormatError` on malformed JSON, missing fields,
-    duplicate or unknown vertex ids, self-loops, duplicate edge pairs,
-    or nonpositive ``mu``/``h``/``w``. Connectivity is deliberately not
-    checked here; run :func:`validate` for that.
+    Raises :class:`GraphFormatError` on malformed JSON, a wrong shape,
+    missing fields, non-string, duplicate or unknown vertex ids, and
+    numbers that are not numbers or not finite; these structure and type
+    checks run first, record by record. Then it raises the first message
+    :func:`validate` would report for nonpositive ``mu``/``h``/``w``,
+    self-loops or repeated vertex pairs, in record order. Connectivity is
+    deliberately not checked here; run :func:`validate` for that.
     """
     # Every check below runs once per record, and most messages embed a
     # record's repr, so a message is built only once its check has
-    # failed. A number that is not a plain finite positive float goes
-    # through _as_number and the positivity checks, in the order they
-    # are reported.
+    # failed. A number that is not a plain finite float goes through
+    # _as_number.
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,14 +209,9 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"vertex id must be a string, got {vid!r}")
         if vid in index:
             raise GraphFormatError(f"duplicate vertex id '{vid}'")
-        if not (_is_positive_float(mu_val) and _is_positive_float(h_val)):
+        if not (_is_finite_float(mu_val) and _is_finite_float(h_val)):
             mu_val = _as_number(mu_val, f"mu at vertex '{vid}'")
             h_val = _as_number(h_val, f"h at vertex '{vid}'")
-            if not mu_val > 0:
-                raise GraphFormatError(
-                    f"nonpositive measure mu={mu_val!r} at vertex '{vid}'")
-            if not h_val > 0:
-                raise GraphFormatError(f"nonpositive h={h_val!r} at vertex '{vid}'")
         index[vid] = len(ids)
         ids.append(vid)
         mu.append(mu_val)
@@ -211,7 +220,6 @@ def parse_graph(text: str) -> Graph:
     if not isinstance(edges_doc, list):
         raise GraphFormatError("'edges' must be a list")
     edges: list[tuple[int, int, float]] = []
-    seen_pairs: set[tuple[int, int]] = set()
     for entry in edges_doc:
         if not isinstance(entry, dict):
             raise GraphFormatError(f"edge entry must be an object, got {entry!r}")
@@ -223,20 +231,14 @@ def parse_graph(text: str) -> Graph:
         for endpoint in (u, v):
             if not (isinstance(endpoint, str) and endpoint in index):
                 raise GraphFormatError(f"edge references unknown vertex id {endpoint!r}")
-        i = index[u]
-        j = index[v]
-        if i == j:
-            raise GraphFormatError(f"self-loop at vertex '{u}'")
-        pair = (i, j) if i < j else (j, i)
-        if pair in seen_pairs:
-            raise GraphFormatError(f"duplicate edge ('{ids[pair[0]]}', '{ids[pair[1]]}')")
-        seen_pairs.add(pair)
-        if not _is_positive_float(w):
+        if not _is_finite_float(w):
             w = _as_number(w, f"weight on edge ('{u}', '{v}')")
-            if not w > 0:
-                raise GraphFormatError(f"nonpositive weight w={w!r} on edge ('{u}', '{v}')")
-        edges.append((i, j, w))
-    return Graph(tuple(ids), np.array(mu), np.array(h), tuple(edges))
+        edges.append((index[u], index[v], w))
+    g = Graph(ids, mu, h, edges)
+    faults = _value_faults(g)
+    if faults:
+        raise GraphFormatError(faults[0])
+    return g
 
 
 def serialize_graph(g: Graph) -> str:
@@ -245,14 +247,14 @@ def serialize_graph(g: Graph) -> str:
     Floats are emitted with shortest round-trip precision, so
     ``parse_graph(serialize_graph(g)) == g`` exactly.
     """
+    ids = g.vertex_ids
     doc = {
         "vertices": [
-            {"id": vid, "mu": float(m), "h": float(hh)}
-            for vid, m, hh in zip(g.vertex_ids, g.mu, g.h)
+            {"id": vid, "mu": m, "h": hh}
+            for vid, m, hh in zip(ids, g.mu.tolist(), g.h.tolist())
         ],
         "edges": [
-            {"u": g.vertex_ids[i], "v": g.vertex_ids[j], "w": w}
-            for i, j, w in g.edges
+            {"u": ids[i], "v": ids[j], "w": w} for i, j, w in g.edges
         ],
     }
     return json.dumps(doc, indent=2)
@@ -261,37 +263,45 @@ def serialize_graph(g: Graph) -> str:
 def validate(g: Graph) -> list[str]:
     """Return value-level violations, empty when the graph is sound.
 
-    Checks positivity of mu, h, and edge weights, absence of self-loops
-    and duplicate pairs, and connectivity. The returned strings are
-    human-readable descriptors; an empty list means the graph satisfies
-    every precondition the rest of the library relies on.
+    The messages are those :func:`parse_graph` raises, in record order:
+    per vertex a nonpositive mu, then a nonpositive h; per edge a
+    self-loop (which hides the edge's other faults), then a repeated
+    vertex pair, then a nonpositive weight. ``"disconnected"`` comes
+    last. An empty list means the graph satisfies every precondition the
+    rest of the library relies on.
     """
-    violations: list[str] = []
-    for vid, m in zip(g.vertex_ids, g.mu):
-        if not m > 0:
-            violations.append(f"nonpositive measure mu={m!r} at vertex '{vid}'")
-    for vid, hh in zip(g.vertex_ids, g.h):
-        if not hh > 0:
-            violations.append(f"nonpositive h={hh!r} at vertex '{vid}'")
-    seen_pairs: set[tuple[int, int]] = set()
-    for i, j, w in g.edges:
-        if i == j:
-            violations.append(f"self-loop at vertex '{g.vertex_ids[i]}'")
-            continue
-        if not w > 0:
-            violations.append(
-                f"nonpositive weight w={w!r} on edge "
-                f"('{g.vertex_ids[i]}', '{g.vertex_ids[j]}')"
-            )
-        pair = (min(i, j), max(i, j))
-        if pair in seen_pairs:
-            violations.append(
-                f"duplicate edge ('{g.vertex_ids[pair[0]]}', '{g.vertex_ids[pair[1]]}')"
-            )
-        seen_pairs.add(pair)
+    violations = _value_faults(g)
     if not _connected(g):
         violations.append("disconnected")
     return violations
+
+
+def _value_faults(g: Graph) -> list[str]:
+    ids, mu, h = g.vertex_ids, g.mu, g.h
+    ei, ej, ew = g.edge_arrays
+    faults: list[str] = []
+    for x in np.flatnonzero(~((mu > 0) & (h > 0))).tolist():
+        if not mu[x] > 0:
+            faults.append(f"nonpositive measure mu={float(mu[x])!r} at vertex '{ids[x]}'")
+        if not h[x] > 0:
+            faults.append(f"nonpositive h={float(h[x])!r} at vertex '{ids[x]}'")
+    # a pair key never collides with a self-loop's, since lo < hi < n there
+    lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+    key = lo * g.num_vertices + hi
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = ordered[1:] == ordered[:-1]
+    for e in np.flatnonzero(repeat | ~((lo < hi) & (ew > 0))).tolist():
+        i, j, w = int(ei[e]), int(ej[e]), float(ew[e])
+        if i == j:
+            faults.append(f"self-loop at vertex '{ids[i]}'")
+            continue
+        if repeat[e]:
+            faults.append(f"duplicate edge ('{ids[lo[e]]}', '{ids[hi[e]]}')")
+        if not w > 0:
+            faults.append(f"nonpositive weight w={w!r} on edge ('{ids[i]}', '{ids[j]}')")
+    return faults
 
 
 def _connected(g: Graph) -> bool:
@@ -299,10 +309,10 @@ def _connected(g: Graph) -> bool:
     if n == 0:
         return False
     adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in g.edges:
-        if i != j:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+    ei, ej, _ = g.edge_arrays
+    for i, j in zip(ei.tolist(), ej.tolist()):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
     seen = [False] * n
     stack = [0]
     seen[0] = True

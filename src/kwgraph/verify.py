@@ -73,6 +73,9 @@ def kw_residual(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     return r - np.array([value for _, _, value in t]) @ spectrum.split(k)[0]
 
 
+# A candidate near the float range overflows to inf or nan, and the
+# residual checks fail on those values; silence only the warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
                      k: int, tol: float = 1e-8,
                      claimed_xi: float | None = None,

@@ -404,6 +404,20 @@ def test_verify_non_finite_check_value_is_null(capsys, k2_path, tmp_path):
     assert "FAIL multiplier_t: value=inf" in err
 
 
+def test_verify_candidate_near_float_range_exit_5_with_nulls(capsys, k2_path, tmp_path):
+    # the residuals overflow; under tier-1 a RuntimeWarning would raise
+    doc = {"graph": str(k2_path), "alpha": 0.0, "beta": 1.0,
+           "u": {"a": 1.7e308, "b": -1.7e308}}
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 5
+    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
+    for name in ("kw_residual_sup", "kw_residual_l2", "residual_mean_zero"):
+        assert checks[name]["passed"] is False
+        assert checks[name]["value"] is None
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "spectrum"])
 def test_infinite_tol_exit_1(capsys, k2_path, tmp_path, command):
     # --tol inf once let a solve "converge" anywhere and verify pass any

@@ -272,3 +272,126 @@ def test_parse_integer_values_become_floats():
     assert g.h.tolist() == [1.0, 4.0]
     assert g.edges == ((0, 1, 3.0),)
     assert type(g.edges[0][2]) is float
+
+
+def _graph_from_records(text: str) -> Graph:
+    """The records of a parse_graph document, built with Graph(...) directly."""
+    doc = json.loads(text)
+    ids = [v["id"] for v in doc["vertices"]]
+    edges = [(ids.index(e["u"]), ids.index(e["v"]), e["w"]) for e in doc.get("edges", [])]
+    return Graph(ids, [v["mu"] for v in doc["vertices"]],
+                 [v["h"] for v in doc["vertices"]], edges)
+
+
+VALUE_FAULTS = ["mu-zero", "mu-negative-int", "h-negative", "mu-and-h-negative",
+                "self-loop", "duplicate-pair-reversed", "weight-zero",
+                "weight-negative-int"]
+
+
+@pytest.mark.parametrize("name", VALUE_FAULTS)
+def test_validate_words_value_faults_as_parse_does(name):
+    text, message = PARSE_ERRORS[name]
+    assert validate(_graph_from_records(text))[0] == message
+
+
+def test_validate_lists_faults_record_by_record():
+    g = Graph(("a", "b", "c"), [1.0, -1.0, 1.0], [-2.0, 1.0, 0.0],
+              ((0, 1, 1.0), (1, 1, -1.0), (1, 0, -3.0), (2, 1, 0.5)))
+    assert validate(g) == [
+        "nonpositive h=-2.0 at vertex 'a'",
+        "nonpositive measure mu=-1.0 at vertex 'b'",
+        "nonpositive h=0.0 at vertex 'c'",
+        "self-loop at vertex 'b'",
+        "duplicate edge ('a', 'b')",
+        "nonpositive weight w=-3.0 on edge ('b', 'a')",
+    ]
+
+
+def test_parse_reports_type_errors_before_value_errors():
+    text = _doc([{"id": "a", "mu": -1, "h": 1.0}, {"id": "b", "mu": 1.0, "h": "x"}])
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == "h at vertex 'b' must be a number, got 'x'"
+
+
+def test_parse_reports_weight_type_before_self_loop():
+    text = _doc([_A, _B], [{"u": "a", "v": "a", "w": True}])
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == "weight on edge ('a', 'a') must be a number, got True"
+
+
+@pytest.mark.parametrize("edge, message", [
+    pytest.param((True, 0.9, True), "endpoints must be integers", id="bool-and-fraction"),
+    pytest.param((0, True, 1.0), "endpoints must be integers", id="bool-endpoint"),
+    pytest.param((0.0, 1, 1.0), "endpoints must be integers", id="float-endpoint"),
+    pytest.param((0, 1, True), "weights must be real numbers", id="bool-weight"),
+    pytest.param((0, 1, "1.0"), "weights must be real numbers", id="str-weight"),
+    pytest.param((0, 1, None), "weights must be real numbers", id="none-weight"),
+    pytest.param((0, 1, 1j), "weights must be real numbers", id="complex-weight"),
+    pytest.param((0, 1), r"\(i, j, w\) triple", id="pair"),
+])
+def test_construction_rejects_non_integer_endpoints_and_non_real_weights(edge, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(("a", "b"), np.ones(2), np.ones(2), (edge,))
+
+
+def test_construction_accepts_numpy_integers_and_integer_weights():
+    g = Graph(("a", "b", "c"), np.ones(3), np.ones(3),
+              [(np.int32(0), np.uint8(1), 2), (np.int64(1), 2, np.float32(0.5))])
+    assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
+    assert all(type(x) is t for edge in g.edges for x, t in zip(edge, (int, int, float)))
+    ei, ej, ew = g.edge_arrays
+    assert (ei.dtype, ej.dtype, ew.dtype) == (np.intp, np.intp, np.float64)
+    assert not (ei.flags.writeable or ej.flags.writeable or ew.flags.writeable)
+
+
+def test_graph_attributes_cannot_be_set(k2):
+    with pytest.raises(AttributeError):
+        k2.mu = np.ones(2)
+    with pytest.raises(AttributeError):
+        del k2.edge_arrays
+
+
+@pytest.mark.parametrize("edge", [(0, 2, 1.0), (-1, 1, 1.0)])
+def test_construction_rejects_endpoint_at_n_or_negative(edge):
+    with pytest.raises(ValueError) as info:
+        Graph(("a", "b"), np.ones(2), np.ones(2), ((0, 1, 1.0), edge))
+    assert str(info.value) == f"edge ({edge[0]}, {edge[1]}) references a vertex outside 0..1"
+
+
+def _reference_faults(g: Graph) -> list[str]:
+    """validate's value messages, one record at a time in plain Python."""
+    ids, faults, seen = g.vertex_ids, [], set()
+    for vid, m, hh in zip(ids, g.mu.tolist(), g.h.tolist()):
+        if not m > 0:
+            faults.append(f"nonpositive measure mu={m!r} at vertex '{vid}'")
+        if not hh > 0:
+            faults.append(f"nonpositive h={hh!r} at vertex '{vid}'")
+    for i, j, w in g.edges:
+        if i == j:
+            faults.append(f"self-loop at vertex '{ids[i]}'")
+            continue
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            faults.append(f"duplicate edge ('{ids[pair[0]]}', '{ids[pair[1]]}')")
+        seen.add(pair)
+        if not w > 0:
+            faults.append(f"nonpositive weight w={w!r} on edge ('{ids[i]}', '{ids[j]}')")
+    return faults
+
+
+def test_validate_matches_a_record_by_record_reference():
+    # many repeated pairs among dozens of edges, so that an unstable sort
+    # would flag a later copy of a pair as its first
+    rng = np.random.default_rng(3)
+    values = np.array([-1.0, 0.0, 0.5, 1.0, np.nan])
+    odds = [0.1, 0.1, 0.1, 0.6, 0.1]
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, 80))
+        edges = [(int(i), int(j), float(w)) for i, j, w in
+                 zip(rng.integers(0, n, m), rng.integers(0, n, m), rng.choice(values, m))]
+        g = Graph([f"v{x}" for x in range(n)], rng.choice(values, n, p=odds),
+                  rng.choice(values, n, p=odds), edges)
+        assert [f for f in validate(g) if f != "disconnected"] == _reference_faults(g)

@@ -212,3 +212,13 @@ def test_check_result_str(p3, p3_spec):
     checks = verify_candidate(p3, p3_spec, np.zeros(3), 1.0, -1.0, 1, tol=1e-10)
     text = str(checks[0])
     assert "mean_zero" in text and "pass" in text
+
+
+def test_verify_candidate_near_float_range_fails_without_warning(k2, k2_spec):
+    # tier-1 turns every warning into an error, so an overflow warning
+    # would raise here instead of failing the residual checks
+    u = np.array([1.7e308, -1.7e308])
+    checks = {c.name: c for c in verify_candidate(k2, k2_spec, u, 0.0, 1.0, 0)}
+    for name in ("kw_residual_sup", "kw_residual_l2", "residual_mean_zero"):
+        assert not checks[name].passed
+        assert not np.isfinite(checks[name].value)

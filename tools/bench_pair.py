@@ -8,7 +8,9 @@ For each seed and each workload of BENCHMARK.json, this runs
 the working tree. Which side runs first alternates from pair to pair.
 It writes ``BENCH_<L>.json`` at the repo root: every run's end-to-end
 metrics with ``failed``/``attempted``, and per workload each side's
-median and quartiles and the number of pairs the working tree won.
+median and quartiles, the number of pairs the working tree won, each
+side's pooled ``failed``/``attempted``, and the seeds whose failed share
+differs between the sides (also printed to stderr when there are any).
 """
 
 from __future__ import annotations
@@ -76,6 +78,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         out["change_wins"][name] = sum(
             sign * (r["parent"]["metrics"][name] - r["change"]["metrics"][name]) > 0 for r in runs)
     out["pairs"] = len(runs)
+    out["failed"] = {side: {key: sum(r[side][key] for r in runs)
+                            for key in ("failed", "attempted")} for side in SIDES}
+    # runs end after whole passes, so compare shares, not counts
+    out["failed_share_differs"] = [
+        r["seed"] for r in runs
+        if r["parent"]["failed"] * r["change"]["attempted"]
+        != r["change"]["failed"] * r["parent"]["attempted"]]
     return out
 
 
@@ -112,8 +121,11 @@ def main(argv: list[str] | None = None) -> int:
                 runs[workload].append(run)
                 print(f"{workload} seed {seed} done", file=sys.stderr)
     for workload in workloads:
-        doc["workloads"][workload] = {"summary": summarize(runs[workload], better),
-                                      "runs": runs[workload]}
+        summary = summarize(runs[workload], better)
+        if summary["failed_share_differs"]:
+            print(f"{workload}: failed share differs on seeds "
+                  f"{summary['failed_share_differs']}", file=sys.stderr)
+        doc["workloads"][workload] = {"summary": summary, "runs": runs[workload]}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(path)
