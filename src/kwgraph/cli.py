@@ -33,12 +33,7 @@ from .solver import (
     minimize,
     probe_divergence,
 )
-from .spectral import (
-    DEFAULT_GROUPING_TOL,
-    compute_spectrum,
-    poincare_constant,
-    spectrum_to_dict,
-)
+from .spectral import compute_spectrum, poincare_constant, spectrum_to_dict
 from .verify import verify_candidate
 
 __all__ = ["main"]
@@ -76,8 +71,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues and eigenbases of -Delta")
     sp.add_argument("graph", help="graph JSON document")
-    sp.add_argument("--tol", type=float, default=DEFAULT_GROUPING_TOL,
-                    help="relative eigenvalue grouping tolerance")
     sp.add_argument("--json", action="store_true",
                     help="emit the full spectrum (with bases) as JSON")
     sp.set_defaults(func=cmd_spectrum)
@@ -132,7 +125,7 @@ def _emit(doc: dict, copy_path: str | None = None) -> None:
 
 def cmd_spectrum(args) -> int:
     graph = _load_graph(args.graph)
-    spectrum = compute_spectrum(graph, args.tol)
+    spectrum = compute_spectrum(graph)
     has_gap = spectrum.num_distinct >= 2
     if args.json:
         doc = spectrum_to_dict(spectrum)

@@ -71,7 +71,12 @@ class Graph:
         elif set(map(len, edges)) != {3}:
             raise ValueError("every edge must be an (i, j, w) triple")
         else:
-            ei, ej, ew = (np.array(column) for column in zip(*edges))
+            columns = tuple(zip(*edges))
+            # numpy promotes (True, 2) to int64, so a bool among integer
+            # endpoints shows only in the Python types of its column
+            if any(not {bool, np.bool_}.isdisjoint(map(type, c)) for c in columns[:2]):
+                raise ValueError("edge endpoints must be integers, got bool")
+            ei, ej, ew = map(np.array, columns)
         if not (ei.dtype.kind in "iu" and ej.dtype.kind in "iu"):
             raise ValueError(f"edge endpoints must be integers, got {ei.dtype} and {ej.dtype}")
         if ew.dtype.kind not in "iuf":
@@ -257,7 +262,8 @@ def serialize_graph(g: Graph) -> str:
             {"u": ids[i], "v": ids[j], "w": w} for i, j, w in g.edges
         ],
     }
-    return json.dumps(doc, indent=2)
+    # without indent, json.dumps runs its C encoder
+    return json.dumps(doc)
 
 
 def validate(g: Graph) -> list[str]:

@@ -6,9 +6,10 @@ alpha relative to lambda_{k+1} decides everything:
 
 - alpha < lambda_{k+1}: J_{alpha,beta} attains its minimum on E_k^perp
   for every beta.
-- alpha = lambda_{k+1} (within eq_tol): beta = 0 yields an exact
-  eigenfunction solution; beta < 0 pushes the minimizer into
-  E_{k+1}^perp; beta > 0 makes the functional unbounded below.
+- alpha = lambda_{k+1} (the same eigenvalue by ``Spectrum.tolerance``):
+  beta = 0 yields an exact eigenfunction solution; beta < 0 pushes the
+  minimizer into E_{k+1}^perp; beta > 0 makes the functional unbounded
+  below.
 - alpha > lambda_{k+1}: unbounded below along the lambda_{k+1} ray.
 
 Minimization runs in coordinates over a mu-orthonormal basis of the
@@ -41,9 +42,9 @@ t * u_{k+1,1}. How far out it samples is worked out from the spectrum:
 a closed-form quadratic envelope U(t) >= J(t u_{k+1,1}) gives the ray
 length at which U falls to twice DIVERGENCE_DEPTH, and the last sample
 certifies divergence when it lies below DIVERGENCE_DEPTH. The probe is
-inconclusive only when alpha lies below lambda_{k+1} inside eq_tol, or
-when that length is so large that float64 rounding of the quadratic
-term would swamp the depth.
+inconclusive only when alpha lies below lambda_{k+1} inside the
+spectrum's tolerance, or when that length is so large that float64
+rounding of the quadratic term would swamp the depth.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "SolverOptions",
     "UnboundedRegimeError",
     "classify_regime",
-    "default_eq_tol",
     "minimize",
     "probe_divergence",
 ]
@@ -161,8 +161,9 @@ class SolveReport:
     ``iterations + 1`` entries and ends at ``objective``. ``grad_sup``
     is the sup norm of the projected gradient at ``minimizer``. In the
     eigenfunction regime the minimizer is u_{k+1,1}, no step is taken,
-    and ``alpha`` is lambda_{k+1}, the value the classification matched
-    (the requested alpha may differ from it by up to eq_tol).
+    and ``alpha`` is that eigenfunction's own eigenvalue, which the
+    classification matched (the requested alpha may differ from it by up
+    to the spectrum's tolerance).
     """
 
     regime: Regime
@@ -188,14 +189,13 @@ class ProbeReport:
     verdict: ProbeVerdict
 
 
-def default_eq_tol(lam: float) -> float:
-    """Equality tolerance for alpha vs an eigenvalue: 1e-9 * (1 + |lambda|)."""
-    return 1e-9 * (1.0 + abs(lam))
-
-
 def classify_regime(spectrum: Spectrum, alpha: float, beta: float, k: int = 0) -> Regime:
-    """Place (alpha, beta, k) in the trichotomy around lambda_{k+1}, with
-    alpha = lambda_{k+1} meaning equal within ``default_eq_tol``.
+    """Place (alpha, beta, k) in the trichotomy around lambda_{k+1}.
+
+    alpha = lambda_{k+1} means that alpha is the same eigenvalue as a
+    member of group k+1 by ``Spectrum.tolerance``: it lies no further
+    below the smallest member, and no further above the largest, than
+    the tolerance at that member.
 
     Raises ValueError for a non-finite alpha or beta, or when
     lambda_{k+1} does not exist.
@@ -206,11 +206,11 @@ def classify_regime(spectrum: Spectrum, alpha: float, beta: float, k: int = 0) -
     if not 0 <= k <= m - 2:
         raise ValueError(
             f"k={k} out of range 0..{m - 2}: lambda_{{k+1}} must exist")
-    lam = spectrum.eigenvalue(k + 1)
-    eq_tol = default_eq_tol(lam)
-    if alpha < lam - eq_tol:
+    group = spectrum.members(k + 1)
+    lo, hi = float(group[0]), float(group[-1])
+    if alpha < lo - spectrum.tolerance(lo):
         return Regime(RegimeTag.MINIMIZER_IN_EK_PERP, k)
-    if abs(alpha - lam) <= eq_tol:
+    if alpha <= hi + spectrum.tolerance(hi):
         if beta == 0:
             return Regime(RegimeTag.EIGENFUNCTION_SOLUTION, k)
         if beta < 0:
@@ -469,8 +469,8 @@ def probe_divergence(g: Graph, spectrum: Spectrum, alpha: float, beta: float,
 
     The verdict is ``unbounded`` when the last sample lies below
     ``DIVERGENCE_DEPTH``, else ``inconclusive``. That happens only when
-    alpha lies below lambda_{k+1} inside eq_tol, where U turns back up,
-    or past the rounding cap.
+    alpha lies below lambda_{k+1} inside the spectrum's tolerance, where U
+    turns back up, or past the rounding cap.
     """
     regime = classify_regime(spectrum, alpha, beta, k)
     if regime.tag is not RegimeTag.UNBOUNDED_BELOW:

@@ -3,13 +3,19 @@
 The combinatorial Laplacian L = D - W is symmetrized to
 M^{-1/2} L M^{-1/2} (M = diag(mu)), decomposed with a dense symmetric
 eigensolver, and mapped back through M^{-1/2}, which makes the
-eigenvectors exactly mu-orthonormal up to rounding. Eigenvalues are
-grouped into distinct values at a relative tolerance. The eigenvector of
-a simple eigenvalue is normalized in place in the mu-inner product; a
-group of multiplicity > 1 is re-orthonormalized by Gram-Schmidt in the
-mu-inner product. Every basis row gets a deterministic sign (first
-nonzero entry positive), and the bases are row views of one read-only
-n x n buffer.
+eigenvectors mu-orthonormal up to rounding. Each row keeps its own
+eigenvalue. A row whose rounding-level component along the constant
+could show in a mean-zero check has it subtracted, and every row is then
+normalized in place in the mu-inner product; rows are never mixed. Every
+basis row gets a deterministic sign (first nonzero entry positive), and
+the bases are row views of one read-only n x n buffer.
+
+One rule says when two values are the same eigenvalue: they differ by at
+most 1e-9 (1 + |lambda|) plus the rounding floor 8 n eps lambda_max,
+below which a dense symmetric eigensolver cannot tell eigenvalues apart
+(backward stability and Weyl's inequality). ``compute_spectrum`` groups
+consecutive eigenvalues by it, and ``Spectrum.tolerance`` gives it to
+the regime classification.
 
 Eigenvalue groups are indexed 0..m-1 with lambda_0 = 0; E_k denotes the
 direct sum of the eigenspaces for lambda_1..lambda_k, and E_k^perp its
@@ -24,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import mu_inner, project_mean_zero
+from .calculus import project_mean_zero
 from .graphs import Graph, _connected, as_vertex_function
 
 __all__ = [
-    "DEFAULT_GROUPING_TOL",
     "Spectrum",
     "compute_spectrum",
     "poincare_constant",
@@ -38,7 +43,18 @@ __all__ = [
     "spectrum_to_dict",
 ]
 
-DEFAULT_GROUPING_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+
+
+def _tolerance(lam, evals: np.ndarray):
+    """Largest distance at which a value is still the eigenvalue ``lam``
+    of a spectrum with ascending eigenvalues ``evals``."""
+    return 1e-9 * (1.0 + np.abs(lam)) + 8 * len(evals) * _EPS * abs(float(evals[-1]))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +62,28 @@ class Spectrum:
     """Distinct eigenvalues of -Delta with mu-orthonormal eigenbases.
 
     ``rows`` holds every eigenfunction as a row, in eigenvalue order,
-    mu-orthonormal across the entire spectrum; ``bases[k]`` is the view
-    of the rows spanning the k-th eigenspace, and ``bases[0]`` is the
-    single constant Vol(V)^{-1/2}.
+    mu-orthonormal across the entire spectrum, and ``row_eigenvalues``
+    the eigenvalue of each row. ``bases[k]`` is the view of the rows
+    spanning the k-th eigenvalue group, and ``bases[0]`` is the single
+    constant Vol(V)^{-1/2}. ``distinct_eigenvalues[k]`` is the smallest
+    member of group k, the eigenvalue of ``bases[k][0]``.
     """
 
-    distinct_eigenvalues: np.ndarray
     multiplicities: np.ndarray
     rows: np.ndarray
-    grouping_tol: float
+    row_eigenvalues: np.ndarray
+    distinct_eigenvalues: np.ndarray = field(init=False)
     bases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rows.shape[0] != int(np.sum(self.multiplicities)):
-            raise ValueError("multiplicities do not add up to the number of basis rows")
+        n = self.rows.shape[0]
+        if int(np.sum(self.multiplicities)) != n or self.row_eigenvalues.shape != (n,):
+            raise ValueError("multiplicities and row_eigenvalues must match the basis rows")
         bounds = np.concatenate(([0], np.cumsum(self.multiplicities))).tolist()
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "distinct_eigenvalues",
+                           _read_only(self.row_eigenvalues[bounds[:-1]]))
         object.__setattr__(self, "bases",
                            tuple(self.rows[a:b] for a, b in zip(bounds, bounds[1:])))
 
@@ -73,18 +96,26 @@ class Spectrum:
             raise IndexError(f"eigenvalue index {k} out of range 0..{self.num_distinct - 1}")
         return float(self.distinct_eigenvalues[k])
 
+    def members(self, k: int) -> np.ndarray:
+        """The eigenvalue of each row of ``bases[k]``, ascending."""
+        return self.row_eigenvalues[self._bounds[k]:self._bounds[k + 1]]
+
+    def tolerance(self, lam: float) -> float:
+        """How far a value may lie from ``lam`` and still be the same
+        eigenvalue: 1e-9 (1 + |lam|) + 8 n eps lambda_max."""
+        return float(_tolerance(lam, self.row_eigenvalues))
+
     def split(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows spanning E_k and rows spanning E_k^perp, as views of ``rows``."""
         if not 0 <= k <= self.num_distinct - 1:
             raise ValueError(f"k={k} out of range 0..{self.num_distinct - 1}")
-        start = int(np.sum(self.multiplicities[:k + 1]))
+        start = self._bounds[k + 1]
         return self.rows[1:start], self.rows[start:]
 
 
 def _coord_shift(spectrum: Spectrum, j: int, alpha: float) -> np.ndarray:
     """lambda_s - alpha for each row of ``spectrum.split(j)[1]``."""
-    return np.repeat(spectrum.distinct_eigenvalues[j + 1:],
-                     spectrum.multiplicities[j + 1:]) - alpha
+    return spectrum.row_eigenvalues[spectrum._bounds[j + 1]:] - alpha
 
 
 def _negative_leading(rows: np.ndarray) -> np.ndarray:
@@ -99,41 +130,17 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if _negative_leading(v[None, :])[0] else v
 
 
-def _mu_normalize(mu: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _mu_normalize(mu: np.ndarray, v: np.ndarray) -> None:
     """Divide ``v`` in place by its norm in the inner product weighted by ``mu``."""
-    norm = np.sqrt(float(np.dot(mu * v, v)))
-    if norm <= 1e-13:
-        raise np.linalg.LinAlgError("rank loss while orthonormalizing an eigenspace")
-    v /= norm
-    return v
+    v /= np.sqrt(float(np.dot(mu * v, v)))
 
 
-def _mu_orthonormalize(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt in the mu-inner product, with reorthogonalization."""
-    out: list[np.ndarray] = []
-    for row in rows:
-        v = row.astype(float).copy()
-        for _ in range(2):
-            for q in out:
-                v -= mu_inner(g, v, q) * q
-        out.append(_mu_normalize(g.mu, v))
-    return np.array(out)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Spectrum:
+def compute_spectrum(g: Graph) -> Spectrum:
     """Eigendecomposition of -Delta on a connected graph.
 
-    Raises ValueError for a ``grouping_tol`` that is not finite and
-    positive, or when the zero eigenvalue is not simple: the graph is
-    disconnected, or ``grouping_tol`` merged lambda_0 with lambda_1.
+    Raises ValueError when the zero eigenvalue is not simple: the graph
+    is disconnected, or lambda_1 lies within the tolerance of 0.
     """
-    if not 0 < grouping_tol < np.inf:
-        raise ValueError(f"grouping_tol must be finite and positive, got {grouping_tol!r}")
     n = g.num_vertices
     # L = D - W scaled to M^{-1/2} L M^{-1/2} in one buffer; the result
     # is exactly symmetric because L and outer(s, s) are. Keep every
@@ -157,36 +164,33 @@ def compute_spectrum(g: Graph, grouping_tol: float = DEFAULT_GROUPING_TOL) -> Sp
     del evecs
     rows *= inv_sqrt_mu
 
-    scale = max(float(evals[-1]), 1.0)
-    starts = np.flatnonzero(np.diff(evals) > grouping_tol * scale) + 1
+    starts = np.flatnonzero(np.diff(evals) > _tolerance(evals[:-1], evals)) + 1
     bounds = np.concatenate(([0], starts, [n])).tolist()
     if bounds[1] != 1:
         if _connected(g):
             raise ValueError(
-                f"grouping_tol={grouping_tol!r} merged lambda_0 = 0 with "
-                f"lambda_1 = {float(evals[1])!r}; use a smaller tolerance")
+                f"lambda_1 = {float(evals[1])!r} cannot be told apart from lambda_0 = 0")
         raise ValueError(
             "zero eigenvalue is not simple: the graph is disconnected (run validate)"
         )
 
-    distinct = evals[bounds[:-1]]
-    distinct[0] = 0.0
+    evals[0] = 0.0
     rows[0] = 1.0 / np.sqrt(g.volume)
-    for s in range(1, len(bounds) - 1):
-        a, b = bounds[s], bounds[s + 1]
-        if b - a == 1:
-            _mu_normalize(g.mu, rows[a])
-        else:
-            distinct[s] = np.mean(evals[a:b])
-            rows[a:b] = _mu_orthonormalize(g, rows[a:b])
+    # subtract a row's component along the constant only where it could
+    # show; a row within the threshold keeps every bit eigh gave it
+    threshold = 1e-12 * np.sqrt(g.volume)
+    for row in rows[1:]:
+        leak = float(np.dot(row, g.mu))
+        if abs(leak) > threshold:
+            row -= leak / g.volume
+        _mu_normalize(g.mu, row)
     flip = _negative_leading(rows)
     rows[flip] = -rows[flip]
     _read_only(rows)
     return Spectrum(
-        distinct_eigenvalues=_read_only(distinct),
         multiplicities=_read_only(np.diff(bounds)),
         rows=rows,
-        grouping_tol=float(grouping_tol),
+        row_eigenvalues=_read_only(evals),
     )
 
 
@@ -218,16 +222,17 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
         "distinct_eigenvalues": [float(v) for v in spectrum.distinct_eigenvalues],
         "multiplicities": [int(m) for m in spectrum.multiplicities],
         "bases": [[[float(x) for x in row] for row in block] for block in spectrum.bases],
-        "grouping_tol": float(spectrum.grouping_tol),
+        "row_eigenvalues": [float(v) for v in spectrum.row_eigenvalues],
     }
 
 
 def spectrum_from_dict(doc: dict) -> Spectrum:
-    """Inverse of :func:`spectrum_to_dict`; ignores unknown keys."""
+    """Inverse of :func:`spectrum_to_dict`. ``distinct_eigenvalues`` is
+    derived from ``row_eigenvalues`` and ``multiplicities``, and unknown
+    keys are ignored."""
     return Spectrum(
-        distinct_eigenvalues=_read_only(np.array(doc["distinct_eigenvalues"], dtype=float)),
         multiplicities=_read_only(np.array(doc["multiplicities"], dtype=int)),
         rows=_read_only(np.array([row for block in doc["bases"] for row in block],
                                  dtype=float)),
-        grouping_tol=float(doc["grouping_tol"]),
+        row_eigenvalues=_read_only(np.array(doc["row_eigenvalues"], dtype=float)),
     )

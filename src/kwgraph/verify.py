@@ -9,6 +9,7 @@ Euler-Lagrange identities; nothing depends on how u was produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,14 @@ def kw_residual(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     return r - np.array([value for _, _, value in t]) @ spectrum.split(k)[0]
 
 
+def _group_norms(t: dict[tuple[int, int], float]) -> dict[int, float]:
+    """The norm (sum_i t_si^2)^(1/2) of each group s of multipliers."""
+    squares: dict[int, float] = {}
+    for (s, _), value in t.items():
+        squares[s] = squares.get(s, 0.0) + value * value
+    return {s: math.sqrt(total) for s, total in squares.items()}
+
+
 # A candidate near the float range overflows to inf or nan, and the
 # residual checks fail on those values; silence only the warnings.
 @np.errstate(over="ignore", invalid="ignore")
@@ -91,8 +100,15 @@ def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
     - kw_residual_l2: L2(mu) norm <= tol * sqrt(Vol(V))
     - residual_mean_zero: |integral(residual)| <= tol * Vol(V)
       (integrating the equation over V must give 0 = 0)
-    - multiplier_xi / multiplier_t: claimed values match the closed
-      forms to tol, only when claims are supplied
+    - multiplier_xi: the claimed xi matches its closed form to tol
+    - multiplier_t: the claimed t_si carry the recomputed (s, i) labels,
+      and for each group s the norm |t_s| = (sum_i t_si^2)^(1/2) matches
+      the recomputed one to tol. The individual t_si depend on the basis
+      chosen inside a multiple eigenvalue (a relabelling of the vertices
+      can rotate it); the group norm does not. A label mismatch fails
+      with value inf.
+
+    The multiplier checks run only when claims are supplied.
     """
     u = as_vertex_function(g, u)
     ek = spectrum.split(k)[0]
@@ -128,8 +144,8 @@ def verify_candidate(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
             if set(claimed) != set(recomputed):
                 checks.append(CheckResult("multiplier_t", False, float("inf"), tol))
             else:
-                diff = max((abs(claimed[key] - recomputed[key]) for key in recomputed),
-                           default=0.0)
+                norms, claimed_norms = _group_norms(recomputed), _group_norms(claimed)
+                diff = max((abs(claimed_norms[s] - norms[s]) for s in norms), default=0.0)
                 checks.append(CheckResult("multiplier_t", diff <= tol, diff, tol))
     return checks
 

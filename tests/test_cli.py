@@ -13,6 +13,8 @@ import kwgraph
 from kwgraph import spectrum_from_dict
 from kwgraph.cli import main
 
+from conftest import K2_DOC
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -73,12 +75,15 @@ def test_spectrum_disconnected_graph(capsys, tmp_path):
     assert "disconnected" in err
 
 
-def test_spectrum_tol_merging_lambda1_names_the_tolerance(capsys, p3_path):
-    # the unit path P3 is connected; --tol 0.9 merges lambda_1 = 1 with 0
-    code, out, err = run_cli(capsys, "spectrum", str(p3_path), "--tol", "0.9")
+def test_spectrum_lambda1_within_the_tolerance_of_0_exit_1(capsys, tmp_path):
+    # K2 with w = 1e-13 is connected, but lambda_1 = 2e-13 cannot be told
+    # apart from 0
+    path = tmp_path / "k2-weak.json"
+    path.write_text(K2_DOC.replace('"w": 1.0', '"w": 1e-13'), encoding="utf-8")
+    code, out, err = run_cli(capsys, "spectrum", str(path))
     assert code == 1
     assert out == ""
-    assert "grouping_tol=0.9 merged lambda_0 = 0 with lambda_1 = " in err
+    assert "cannot be told apart from lambda_0 = 0" in err
     assert "disconnected" not in err
 
 
@@ -418,7 +423,7 @@ def test_verify_candidate_near_float_range_exit_5_with_nulls(capsys, k2_path, tm
         assert checks[name]["value"] is None
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "spectrum"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
 def test_infinite_tol_exit_1(capsys, k2_path, tmp_path, command):
     # --tol inf once let a solve "converge" anywhere and verify pass any
     # candidate, here one corrupted by +0.5 at one vertex
@@ -430,8 +435,7 @@ def test_infinite_tol_exit_1(capsys, k2_path, tmp_path, command):
     doc["u"]["a"] += 0.5
     report_path.write_text(json.dumps(doc), encoding="utf-8")
     argv = {"solve": ["solve", str(k2_path), "--alpha", "0.1", "--beta", "3"],
-            "verify": ["verify", str(report_path)],
-            "spectrum": ["spectrum", str(k2_path)]}[command]
+            "verify": ["verify", str(report_path)]}[command]
     code, out, err = run_cli(capsys, *argv, "--tol", "inf")
     assert code == 1
     assert out == ""

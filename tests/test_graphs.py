@@ -336,6 +336,16 @@ def test_construction_rejects_non_integer_endpoints_and_non_real_weights(edge, m
         Graph(("a", "b"), np.ones(2), np.ones(2), (edge,))
 
 
+@pytest.mark.parametrize("edges", [
+    pytest.param(((True, 2, 1.0), (0, 1, 1.0)), id="bool"),
+    pytest.param(((0, 1, 1.0), (1, np.True_, 1.0)), id="numpy-bool"),
+])
+def test_construction_rejects_a_bool_among_integer_endpoints(edges):
+    # numpy promotes (True, 0) to an int64 column, which would build (1, 2)
+    with pytest.raises(ValueError, match="endpoints must be integers, got bool"):
+        Graph(("a", "b", "c"), np.ones(3), np.ones(3), edges)
+
+
 def test_construction_accepts_numpy_integers_and_integer_weights():
     g = Graph(("a", "b", "c"), np.ones(3), np.ones(3),
               [(np.int32(0), np.uint8(1), 2), (np.int64(1), 2, np.float32(0.5))])

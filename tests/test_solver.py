@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from kwgraph import (
     BoundedRegimeError,
+    Graph,
     ProbeVerdict,
     RegimeTag,
     SolveStatus,
@@ -19,7 +20,6 @@ from kwgraph import (
     classify_regime,
     complete_graph,
     compute_spectrum,
-    default_eq_tol,
     eval_J,
     hessian_quadratic_form,
     laplacian,
@@ -82,8 +82,8 @@ def test_classify_trivial_next_perp(k2, k2_spec):
 
 
 def test_classify_eq_tol_boundary(p3, p3_spec):
-    tol = default_eq_tol(1.0)
-    assert tol == 1e-9 * 2.0
+    tol = p3_spec.tolerance(1.0)
+    assert 1e-9 * 2.0 < tol < 1e-9 * 2.0 + 1e-13
     inside = classify_regime(p3_spec, 1.0 + 0.5 * tol, 0.0, 0)
     assert inside.tag is RegimeTag.EIGENFUNCTION_SOLUTION
     outside = classify_regime(p3_spec, 1.0 + 2.0 * tol, 0.0, 0)
@@ -95,6 +95,97 @@ def test_classify_rejects_bad_k(p3, p3_spec):
         classify_regime(p3_spec, 0.0, 0.0, 2)
     with pytest.raises(ValueError, match="out of range"):
         classify_regime(p3_spec, 0.0, 0.0, -1)
+
+
+# ------------------------------------------------ near-degenerate spectra
+
+
+def _star(mu, h, weights):
+    """A star with center 0 and one leaf per weight."""
+    n = len(weights) + 1
+    return Graph(tuple(f"v{x}" for x in range(n)), mu, h,
+                 tuple((0, leaf + 1, float(w)) for leaf, w in enumerate(weights)))
+
+
+# lambda_1 = 1.0000e-3 and lambda_2 = 1.0066e-3 lie 0.66% apart
+NEAR_STAR = _star([1.0, 100.0, 100.0, 100.0, 0.01], [1.0, 1.0, 2.0, 3.0, 1.0],
+                  [0.1, 0.101, 0.1, 100.0])
+
+
+def test_near_degenerate_star_keeps_every_eigenvalue():
+    spec = compute_spectrum(NEAR_STAR)
+    assert list(spec.multiplicities) == [1] * 5
+    assert np.isclose(spec.eigenvalue(1), 1.0e-3, rtol=1e-4)
+    assert np.isclose(spec.eigenvalue(2), 1.00664e-3, rtol=1e-5)
+    # between lambda_1 and lambda_2: inf J = -inf along u_1 even at beta < 0
+    alpha = 1.0033222e-3
+    assert eval_J(NEAR_STAR, 1e6 * spec.bases[1][0], alpha, -1.0) < -1e6
+    with pytest.raises(UnboundedRegimeError):
+        minimize(NEAR_STAR, spec, alpha, -1.0)
+    report = minimize(NEAR_STAR, spec, spec.eigenvalue(1), 0.0)
+    assert report.regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION
+    checks = verify_solution(NEAR_STAR, spec, report)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+
+
+def _k5_with_one_weight(weight):
+    edges = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
+    edges[0] = (0, 1, weight)
+    return Graph(tuple("abcde"), np.ones(5), np.arange(1.0, 6.0), tuple(edges))
+
+
+def test_perturbed_k5_classifies_against_its_own_eigenvalues():
+    # eigenvalues 5 (x3) and 5.00000004; alpha lies 2.8e-9 above
+    # lambda_1 = 5, inside its tolerance 6e-9
+    g = _k5_with_one_weight(1.0 + 2e-8)
+    spec = compute_spectrum(g)
+    assert list(spec.multiplicities) == [1, 3, 1]
+    alpha = 5.00000001 - 1.2e-9 * 6.00000001
+    report = minimize(g, spec, alpha, -1.0)
+    assert report.regime.tag is RegimeTag.MINIMIZER_IN_NEXT_PERP
+    assert report.status is SolveStatus.CONVERGED
+    checks = verify_solution(g, spec, report)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+    assert np.isclose(report.objective, 2.697, atol=1e-3)
+    assert classify_regime(spec, alpha, 1.0).tag is RegimeTag.UNBOUNDED_BELOW
+    with pytest.raises(UnboundedRegimeError):
+        minimize(g, spec, alpha, 1.0)
+
+
+def test_solve_on_an_eigenbasis_that_leaked_onto_the_constant_certifies():
+    # eigh leaves the rows of this graph 1e-10 sqrt(Vol) off mean zero
+    g = log_uniform_graph(0, 3)
+    spec = compute_spectrum(g)
+    assert float(np.max(np.abs(spec.rows[1:] @ g.mu))) <= 1e-15 * np.sqrt(g.volume)
+    report = minimize(g, spec, 0.0, -1844.0)
+    assert report.status is SolveStatus.CONVERGED
+    checks = verify_solution(g, spec, report)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+
+
+@settings(max_examples=100)
+@given(mu=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       h=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       weight=st.floats(-2.0, 2.0),
+       deltas=st.lists(st.floats(-12.0, -2.0), min_size=2, max_size=3),
+       factor=st.floats(1.5, 100.0), beta=st.sampled_from([-5.0, -1.0, 1.0, 5.0]))
+def test_classification_of_planted_near_degenerate_pairs(mu, h, weight, deltas,
+                                                         factor, beta):
+    # a star whose 2 or 3 leaves share mu and carry the weights w (1 + delta_i):
+    # lambda_1 and lambda_2 lie about delta w / mu_leaf apart
+    leaves = len(deltas)
+    g = _star(10.0 ** np.array([mu[0]] + [mu[1]] * leaves), 10.0 ** np.array(h[:leaves + 1]),
+              10.0 ** weight * (1.0 + 10.0 ** np.array(deltas)))
+    spec = compute_spectrum(g)
+    lap = np.zeros((leaves + 1, leaves + 1))
+    for i, j, wij in g.edges:
+        lap[[i, j, i, j], [i, j, j, i]] += [wij, wij, -wij, -wij]
+    lam1 = float(np.linalg.eigvalsh(lap / np.sqrt(np.outer(g.mu, g.mu)))[1])
+    tol = spec.tolerance(lam1)
+    above = classify_regime(spec, lam1 + factor * tol, beta)
+    assert above.tag is not RegimeTag.MINIMIZER_IN_EK_PERP
+    below = classify_regime(spec, lam1 - factor * tol, beta)
+    assert below.tag is RegimeTag.MINIMIZER_IN_EK_PERP
 
 
 NON_FINITE = [(np.nan, 1.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0),
@@ -222,12 +313,13 @@ def test_p3_eigenfunction_solution(p3, p3_spec):
 
 
 def test_eigenfunction_report_uses_matched_eigenvalue():
-    # alpha inside eq_tol but not equal to lambda_1 = 100100: the report
-    # gives alpha = lambda_1, so it certifies and its objective re-evaluates
+    # alpha inside the tolerance but not equal to lambda_1 = 100100: the
+    # report gives alpha = lambda_1, so it certifies and its objective
+    # re-evaluates
     g = complete_graph(2, mu=[1e-3, 1.0], weight=100.0)
     spec = compute_spectrum(g)
     lam = spec.eigenvalue(1)
-    alpha = lam + 0.9 * default_eq_tol(lam)
+    alpha = lam + 0.9 * spec.tolerance(lam)
     assert alpha != lam
     report = minimize(g, spec, alpha, 0.0)
     assert report.regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION

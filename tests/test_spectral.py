@@ -21,7 +21,7 @@ from kwgraph import (
     spectrum_from_dict,
     spectrum_to_dict,
 )
-from kwgraph.spectral import DEFAULT_GROUPING_TOL, _mu_orthonormalize
+from conftest import log_uniform_graph
 
 
 def all_eigenpairs(spectrum):
@@ -178,22 +178,13 @@ def test_disconnected_graph_is_rejected():
         compute_spectrum(g)
 
 
-def test_grouping_tol_must_be_positive(k2):
-    with pytest.raises(ValueError, match="grouping_tol"):
-        compute_spectrum(k2, 0.0)
-
-
-@pytest.mark.parametrize("tol", [np.inf, np.nan])
-def test_grouping_tol_must_be_finite(k2, tol):
-    with pytest.raises(ValueError, match="grouping_tol must be finite and positive"):
-        compute_spectrum(k2, tol)
-
-
-def test_grouping_tol_merging_lambda1_is_not_called_disconnected():
-    # lambda_1 = 2 - sqrt(2) on the unit path P4; 0.9 * lambda_max merges it with 0
-    with pytest.raises(ValueError, match=r"grouping_tol=0\.9 merged lambda_0 = 0 with "
-                                         r"lambda_1 = 0\.58578"):
-        compute_spectrum(path_graph(4), 0.9)
+def test_lambda1_within_the_tolerance_of_0_is_not_called_disconnected():
+    # K2 with w = 1e-13 is connected, but lambda_1 = 2e-13 lies within
+    # 1e-9 (1 + 0) of lambda_0 = 0
+    with pytest.raises(ValueError, match=r"lambda_1 = 2(\.0\d*)?e-13 cannot be told "
+                                         r"apart from lambda_0 = 0") as info:
+        compute_spectrum(complete_graph(2, weight=1e-13))
+    assert "disconnected" not in str(info.value)
 
 
 def test_spectrum_dict_round_trip(p3_spec):
@@ -203,7 +194,7 @@ def test_spectrum_dict_round_trip(p3_spec):
     assert np.array_equal(back.multiplicities, p3_spec.multiplicities)
     for mine, theirs in zip(back.bases, p3_spec.bases):
         assert np.array_equal(mine, theirs)
-    assert back.grouping_tol == p3_spec.grouping_tol
+    assert np.array_equal(back.row_eigenvalues, p3_spec.row_eigenvalues)
 
 
 def test_weighted_path_spectrum_against_oracle():
@@ -264,9 +255,11 @@ def test_spectrum_from_dict_rejects_mismatched_multiplicities(p3_spec):
         spectrum_from_dict(doc)
 
 
-def per_group_spectrum(g, grouping_tol=DEFAULT_GROUPING_TOL):
-    """Reference assembly: one dense build, then Gram-Schmidt on every
-    eigenvalue group and the canonical sign applied row by row."""
+def per_group_spectrum(g):
+    """Reference assembly: one dense build, eigenvalues grouped by the
+    tolerance rule, then row by row the constant component removed where
+    it exceeds 1e-12 sqrt(Vol), the mu-normalization and the canonical
+    sign."""
     n = g.num_vertices
     weights = np.zeros((n, n))
     ei, ej, ew = g.edge_arrays
@@ -278,10 +271,10 @@ def per_group_spectrum(g, grouping_tol=DEFAULT_GROUPING_TOL):
     sym = 0.5 * (sym + sym.T)
     evals, evecs = np.linalg.eigh(sym)
     vectors = evecs * inv_sqrt_mu[:, None]
-    scale = max(float(evals[-1]), 1.0)
+    floor = 8 * n * np.finfo(float).eps * abs(evals[-1])
     groups = [[0]]
     for idx in range(1, n):
-        if evals[idx] - evals[groups[-1][-1]] <= grouping_tol * scale:
+        if evals[idx] - evals[idx - 1] <= 1e-9 * (1.0 + abs(evals[idx - 1])) + floor:
             groups[-1].append(idx)
         else:
             groups.append([idx])
@@ -292,13 +285,19 @@ def per_group_spectrum(g, grouping_tol=DEFAULT_GROUPING_TOL):
         nonzero = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
         return -v if len(nonzero) and v[nonzero[0]] < 0 else v
 
-    distinct = [0.0]
+    def normalized(v):
+        v = v.copy()
+        leak = float(np.dot(v, g.mu))
+        if abs(leak) > 1e-12 * np.sqrt(g.volume):
+            v -= leak / g.volume
+        return v / np.sqrt(float(np.dot(g.mu * v, v)))
+
+    row_eigenvalues = np.concatenate(([0.0], evals[1:]))
     bases = [np.full((1, n), 1.0 / np.sqrt(g.volume))]
     for group in groups[1:]:
-        distinct.append(float(np.mean(evals[group])))
-        block = _mu_orthonormalize(g, vectors[:, group].T)
-        bases.append(np.array([signed(row) for row in block]))
-    return np.array(distinct), np.array([len(gr) for gr in groups]), bases
+        bases.append(np.array([signed(normalized(vectors[:, idx])) for idx in group]))
+    distinct = row_eigenvalues[[group[0] for group in groups]]
+    return (distinct, np.array([len(gr) for gr in groups]), row_eigenvalues, bases)
 
 
 def _wide_random_graphs():
@@ -315,13 +314,15 @@ def _wide_random_graphs():
     path_graph(7),
     Graph(("a",), np.array([2.0]), np.array([1.0]), ()),
     complete_graph(2, mu=np.array([0.5, 3.0])),
+    log_uniform_graph(0, 3),
 ], ids=["random-n3", "random-n12", "random-n40", "random-n90", "K5", "K9", "P7",
-        "n1", "n2"])
+        "n1", "n2", "log-uniform-leak"])
 def test_compute_spectrum_bitwise_matches_per_group_assembly(g):
     spec = compute_spectrum(g)
-    distinct, multiplicities, bases = per_group_spectrum(g)
+    distinct, multiplicities, row_eigenvalues, bases = per_group_spectrum(g)
     assert np.array_equal(spec.distinct_eigenvalues, distinct)
     assert np.array_equal(spec.multiplicities, multiplicities)
+    assert np.array_equal(spec.row_eigenvalues, row_eigenvalues)
     assert len(spec.bases) == len(bases)
     for mine, ref in zip(spec.bases, bases):
         assert mine.shape == ref.shape

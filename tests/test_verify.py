@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kwgraph import (
+    Graph,
     complete_graph,
     heu_weights,
     laplacian,
@@ -167,6 +168,51 @@ def test_verify_candidate_wrong_t_keys(p3, p3_spec):
     by_name = {c.name: c for c in checks}
     assert not by_name["multiplier_t"].passed
     assert by_name["multiplier_t"].value == float("inf")
+
+
+def _c40_at_k1():
+    """C_40 with mu = w = 1 and h ~ U[1, 2], solved at k = 1 and beta = 5;
+    lambda_1 has multiplicity 2. Returns the graph, its spectrum and the
+    report, and a relabelling of the vertices with its spectrum."""
+    n = 40
+    h = np.random.default_rng(5).uniform(1.0, 2.0, n)
+    g = Graph(tuple(f"v{x}" for x in range(n)), np.ones(n), h,
+              tuple((x, (x + 1) % n, 1.0) for x in range(n)))
+    spec = compute_spectrum(g)
+    assert list(spec.multiplicities[:3]) == [1, 2, 2]
+    alpha = 0.5 * (spec.eigenvalue(1) + spec.eigenvalue(2))
+    report = minimize(g, spec, alpha, 5.0, 1)
+    # position p of the relabelled graph holds vertex perm[p]
+    perm = np.random.default_rng(6).permutation(n)
+    where = np.argsort(perm)
+    relabelled = Graph(tuple(g.vertex_ids[x] for x in perm), g.mu[perm], g.h[perm],
+                       tuple((int(where[i]), int(where[j]), w) for i, j, w in g.edges))
+    return g, spec, report, perm, relabelled, compute_spectrum(relabelled)
+
+
+def test_multiplier_t_does_not_depend_on_the_basis_of_a_multiple_eigenvalue():
+    # relabelling rotates the basis of lambda_1, and with it each t_1i, but
+    # not the group norm |t_1|
+    g, spec, report, perm, relabelled, spec2 = _c40_at_k1()
+    other = minimize(relabelled, spec2, report.alpha, report.beta, 1)
+    assert np.allclose(other.minimizer, report.minimizer[perm], rtol=0.0, atol=1e-11)
+    assert not np.allclose([t for _, _, t in other.t_multipliers],
+                           [t for _, _, t in report.t_multipliers], atol=1e-3)
+    checks = verify_candidate(relabelled, spec2, other.minimizer, report.alpha, report.beta,
+                              1, claimed_xi=report.xi, claimed_t=report.t_multipliers)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+
+
+def test_multiplier_t_fails_a_group_norm_off_by_1e_6():
+    g, spec, report, *_ = _c40_at_k1()
+    values = np.array([t for _, _, t in report.t_multipliers])
+    norm = float(np.linalg.norm(values))
+    claimed = tuple((s, i, t * (norm + 1e-6) / norm)
+                    for (s, i, _), t in zip(report.t_multipliers, values))
+    checks = {c.name: c for c in verify_candidate(
+        g, spec, report.minimizer, report.alpha, report.beta, 1, claimed_t=claimed)}
+    assert not checks["multiplier_t"].passed
+    assert np.isclose(checks["multiplier_t"].value, 1e-6, rtol=1e-3)
 
 
 def test_verify_candidate_detects_broken_membership(p3, p3_spec):

@@ -2,15 +2,19 @@
 
     python3 tools/bench_pair.py PARENT_REV --label L --seeds 1-10
 
-For each seed and each workload of BENCHMARK.json, this runs
-``perfbench/run.py --trace 0`` once on the committed files of PARENT_REV
-(exported with ``git archive`` into a temporary directory) and once in
-the working tree. Which side runs first alternates from pair to pair.
-It writes ``BENCH_<L>.json`` at the repo root: every run's end-to-end
-metrics with ``failed``/``attempted``, and per workload each side's
-median and quartiles, the number of pairs the working tree won, each
-side's pooled ``failed``/``attempted``, and the seeds whose failed share
-differs between the sides (also printed to stderr when there are any).
+First it runs ``perfbench/make_reference.py`` once on the committed
+files of PARENT_REV (exported with ``git archive`` into a temporary
+directory) and once in the working tree, and records whether the two
+printed byte-identical answers, with the keys of the answers that differ
+(also printed to stderr when there are any). Then, for each seed and
+each workload of BENCHMARK.json, it runs ``perfbench/run.py --trace 0``
+once on each side. Which side runs first alternates from pair to pair.
+It writes ``BENCH_<L>.json`` at the repo root: ``answers_identical``,
+``answers_differ``, every run's end-to-end metrics with
+``failed``/``attempted``, and per workload each side's median and
+quartiles, the number of pairs the working tree won, each side's pooled
+``failed``/``attempted``, and the seeds whose failed share differs
+between the sides (also printed to stderr when there are any).
 """
 
 from __future__ import annotations
@@ -53,13 +57,28 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_script(root: Path, *args: str) -> str:
+    """stdout of ``python3 ARGS`` run in ``root``; exits on failure."""
+    cmd = [sys.executable, *args]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+def answers_differ(parent: str, change: str) -> list[str]:
+    """The section/key of every answer that differs between two
+    ``make_reference.py`` outputs."""
+    a, b = json.loads(parent), json.loads(change)
+    return sorted(f"{part}/{key}" for part in a.keys() | b.keys()
+                  for key in a.get(part, {}).keys() | b.get(part, {}).keys()
+                  if a.get(part, {}).get(key) != b.get(part, {}).get(key))
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    stdout = run_script(root, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                        "--seconds", str(seconds), "--trace", "0")
+    result = json.loads(stdout.strip().splitlines()[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "failed": result["failed"], "attempted": result["attempted"],
             "correct": result["correct"]}
@@ -112,6 +131,12 @@ def main(argv: list[str] | None = None) -> int:
         parent_root = Path(tmp) / "parent"
         export(doc["parent"], parent_root)
         roots = {"parent": parent_root, "change": ROOT}
+        answers = {side: run_script(roots[side], "perfbench/make_reference.py")
+                   for side in SIDES}
+        doc["answers_identical"] = answers["parent"] == answers["change"]
+        doc["answers_differ"] = answers_differ(answers["parent"], answers["change"])
+        if doc["answers_differ"]:
+            print(f"answers differ: {doc['answers_differ']}", file=sys.stderr)
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
