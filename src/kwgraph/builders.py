@@ -30,23 +30,21 @@ def _vertex_array(value, n: int) -> np.ndarray:
     return arr
 
 
-def path_graph(n: int, mu=1.0, h=1.0, weight: float = 1.0,
-               ids: tuple[str, ...] | None = None) -> Graph:
+def path_graph(n: int, mu=1.0, h=1.0, weight: float = 1.0) -> Graph:
     """Path on n vertices with uniform edge weight; mu and h may be
     scalars or per-vertex arrays."""
     if n < 1:
         raise ValueError("need at least one vertex")
     edges = tuple((i, i + 1, float(weight)) for i in range(n - 1))
-    return Graph(ids or _default_ids(n), _vertex_array(mu, n), _vertex_array(h, n), edges)
+    return Graph(_default_ids(n), _vertex_array(mu, n), _vertex_array(h, n), edges)
 
 
-def complete_graph(n: int, mu=1.0, h=1.0, weight: float = 1.0,
-                   ids: tuple[str, ...] | None = None) -> Graph:
+def complete_graph(n: int, mu=1.0, h=1.0, weight: float = 1.0) -> Graph:
     """Complete graph on n vertices with uniform edge weight."""
     if n < 1:
         raise ValueError("need at least one vertex")
     edges = tuple((i, j, float(weight)) for i in range(n) for j in range(i + 1, n))
-    return Graph(ids or _default_ids(n), _vertex_array(mu, n), _vertex_array(h, n), edges)
+    return Graph(_default_ids(n), _vertex_array(mu, n), _vertex_array(h, n), edges)
 
 
 def _check_range(name: str, value) -> tuple[float, float]:

@@ -264,9 +264,11 @@ def cmd_verify(args) -> int:
         raise CliInputError(f"solution is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliInputError("solution document must be a JSON object")
+    kind = "probe document" if "verdict" in doc else "solution document"
     for fieldname in ("graph", "alpha", "beta", "u"):
         if fieldname not in doc:
-            raise CliInputError(f"solution document missing '{fieldname}'")
+            raise CliInputError(f"{kind} missing '{fieldname}': verify reads a solve "
+                                "report or a candidate with a 'u' map")
     graph = _load_graph(_resolve_graph_path(str(doc["graph"]), solution_path.parent))
     spectrum = compute_spectrum(graph)
     u_doc = doc["u"]

@@ -15,27 +15,32 @@ alpha relative to lambda_{k+1} decides everything:
 Minimization runs in coordinates over a mu-orthonormal basis of the
 subspace, from u = 0, as one loop. Every step is one backtracking
 search c + s d, s = 1, 1/2, ..., that takes the first point passing
-the step's acceptance test:
+one of two acceptance tests:
 
-1. Armijo decrease of J along the Levenberg-damped Newton direction.
-   Where J may be non-convex, the first _GD_ITER_CAP steps go along
-   steepest descent instead, until the gradient is small. Where J is
-   strictly convex, so that its critical point is unique, Newton runs
-   from the first step; Cholesky then succeeds undamped, so each step
-   is plain Newton. The test is beta <= 0 or beta * max_{x,y} R_xy < 4,
-   with S = diag(lambda_s - alpha) > 0 on the subspace, B its basis and
-   R_xy = |S^-1/2 (B[:, x] - B[:, y])|^2. The coordinate Hessian is
-   S^1/2 (I - beta Cov_p(S^-1/2 B)) S^1/2, and by Popoviciu's inequality
-   every directional variance under p is at most max R / 4, so the
-   Hessian is positive definite at every u (see _strictly_convex).
-2. Once J stops measurably decreasing, a damped Newton step that cuts
-   the projected gradient by 10%: near a strict minimum J reaches its
-   floating-point floor before the gradient reaches grad_tol.
-3. At a saddle (u = 0 is critical whenever h is constant), a quarter
-   of the model decrease along the most negative curvature direction.
+1. Armijo decrease of J along a descent direction d:
+   - the Levenberg-damped Newton direction. Where J may be non-convex,
+     the first _GD_ITER_CAP steps go along steepest descent instead,
+     until the gradient is small. Where J is strictly convex, so that
+     its critical point is unique, Newton runs from the first step;
+     Cholesky then succeeds undamped, so each step is plain Newton. The
+     test is beta <= 0 or beta * max_{x,y} R_xy < 4, with
+     S = diag(lambda_s - alpha) > 0 on the subspace, B its basis and
+     R_xy = |S^-1/2 (B[:, x] - B[:, y])|^2. The coordinate Hessian is
+     S^1/2 (I - beta Cov_p(S^-1/2 B)) S^1/2, and by Popoviciu's
+     inequality every directional variance under p is at most max R / 4,
+     so the Hessian is positive definite at every u (see
+     _strictly_convex).
+   - at a saddle (the gradient at most grad_tol, with negative
+     curvature; u = 0 is critical whenever h is constant), the
+     eigenvector of the most negative curvature (More & Sorensen 1979).
+2. Once J stops measurably decreasing while the gradient is above
+   grad_tol, a damped Newton step that cuts the projected gradient by
+   10%: near a strict minimum J reaches its floating-point floor before
+   the gradient reaches grad_tol.
 
-The loop converges where the gradient is below grad_tol and the
-projected Hessian has no negative curvature that J can follow.
+The loop converges where the gradient is at most grad_tol and the
+projected Hessian has no negative curvature. Otherwise it stops at
+max_iters, or where no step is found once J has stopped decreasing.
 
 Where no minimum exists, the divergence probe samples J along the ray
 t * u_{k+1,1}. How far out it samples is worked out from the spectrum:
@@ -55,8 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functional import (_vertex_gradient, el_gradient, eval_J, heu_weights,
-                         log_integral_h_exp)
+from .functional import _vertex_gradient, eval_J, heu_weights, log_integral_h_exp
 from .graphs import Graph
 from .spectral import Spectrum, _canonical_sign, _coord_shift
 from .verify import kw_residual, multipliers
@@ -163,7 +167,9 @@ class SolveReport:
     eigenfunction regime the minimizer is u_{k+1,1}, no step is taken,
     and ``alpha`` is that eigenfunction's own eigenvalue, which the
     classification matched (the requested alpha may differ from it by up
-    to the spectrum's tolerance).
+    to the spectrum's tolerance). ``status`` is ``MaxIters`` both when
+    the loop reached ``max_iters`` and when it stopped earlier because no
+    acceptable step was left; ``iterations`` tells the two apart.
     """
 
     regime: Regime
@@ -300,23 +306,15 @@ def _backtrack(basis: np.ndarray, c: np.ndarray, direction: np.ndarray, tries: i
     return None
 
 
-def _objective_below(g: Graph, u: np.ndarray, alpha: float, beta: float,
-                     bound: float) -> float | None:
-    """J(u) when it is finite and at most ``bound``, else None."""
-    J = eval_J(g, u, alpha, beta)
-    return J if np.isfinite(J) and J <= bound else None
-
-
 def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
-              alpha: float, beta: float, objective: float, grad_sup: float | None,
-              iterations: int, status: SolveStatus,
-              trace: tuple[float, ...]) -> SolveReport:
+              alpha: float, beta: float, objective: float, iterations: int,
+              status: SolveStatus, trace: tuple[float, ...]) -> SolveReport:
     """Certificate and report for a copy of u (so a kept report does not
-    pin the spectrum's n x n buffer); a grad_sup of None is computed here."""
+    pin the spectrum's n x n buffer), with the projected gradient measured
+    as the loop of :func:`minimize` measures it."""
     j = regime.subspace_index
-    if grad_sup is None:
-        grad = el_gradient(g, spectrum, u, alpha, beta, j)
-        grad_sup = float(np.max(np.abs(grad)))
+    basis = spectrum.split(j)[1]
+    grad = _coord_gradient(g, basis, u, alpha, beta) @ basis
     xi, t = multipliers(g, spectrum, u, beta, j)
     r = kw_residual(g, spectrum, u, alpha, beta, j)
     u = u.copy()
@@ -325,7 +323,7 @@ def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
         regime=regime,
         minimizer=u,
         objective=float(objective),
-        grad_sup=float(grad_sup),
+        grad_sup=float(np.max(np.abs(grad))),
         xi=xi,
         t_multipliers=t,
         residual_sup=float(np.max(np.abs(r))),
@@ -348,6 +346,11 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     it is the unique one where J is strictly convex (beta <= 0 among
     others, see :func:`_strictly_convex`), and no uniqueness is claimed
     elsewhere.
+
+    Steps are taken as the module docstring describes; a saddle is left
+    along its most negative curvature, and a saddle where no trial point
+    is accepted ends MaxIters. On E_j^perp = {0} the loop stops at u = 0,
+    Converged at iteration 0.
     """
     if opts is None:
         opts = SolverOptions()
@@ -360,18 +363,13 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     if regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION:
         # u_{j+1,1} solves exactly, with J = 0 at alpha = lambda_{j+1}
         return _finalize(g, spectrum, regime, spectrum.bases[j + 1][0],
-                         spectrum.eigenvalue(j + 1), beta, 0.0, None, 0,
+                         spectrum.eigenvalue(j + 1), beta, 0.0, 0,
                          SolveStatus.CONVERGED, (0.0,))
 
     basis = spectrum.split(j)[1]
     u = np.zeros(g.num_vertices)
     J = eval_J(g, u, alpha, beta)
     trace = [J]
-    if basis.shape[0] == 0:
-        # E_j^perp = {0}: u = 0 is the whole subspace and solves exactly
-        return _finalize(g, spectrum, regime, u, alpha, beta, J, None, 0,
-                         SolveStatus.CONVERGED, tuple(trace))
-
     shift = _coord_shift(spectrum, j, alpha)
     convex = _strictly_convex(basis, shift, beta)
     c = np.zeros(basis.shape[0])
@@ -383,30 +381,16 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     while True:
         gc = _coord_gradient(g, basis, u, alpha, beta)
         grad_sup = float(np.max(np.abs(gc @ basis)))
-        if grad_sup <= opts.grad_tol:
+        stationary = grad_sup <= opts.grad_tol
+        if stationary:
             evals, evecs = np.linalg.eigh(_coord_hessian(g, u, beta, basis, shift))
-            if evals[0] >= -1e-9 * (1.0 + float(np.max(np.abs(evals)))):
+            # on E_j^perp = {0}, evals is empty and u = 0 converges here
+            if np.min(evals, initial=0.0) >= -1e-9 * (1.0 + np.max(np.abs(evals), initial=0.0)):
                 status = SolveStatus.CONVERGED
                 break
         if it >= opts.max_iters:
             break
-        if grad_sup <= opts.grad_tol:
-            # a saddle: follow the most negative curvature either way, for
-            # a quarter of the decrease the quadratic model predicts
-            direction = _canonical_sign(evecs[:, 0])
-            curvature = abs(float(evals[0]))
-
-            def accept(v, s):
-                return _objective_below(g, v, alpha, beta, J - 0.25 * curvature * s * s)
-            step = (_backtrack(basis, c, direction, 60, accept)
-                    or _backtrack(basis, c, -direction, 60, accept))
-            if step is None:
-                # J cannot follow the curvature at representable step
-                # sizes; accept the point
-                status = SolveStatus.CONVERGED
-                break
-            stalled = False
-        elif stalled:
+        if stalled and not stationary:
             # J sits at its floating-point floor while the gradient is
             # still above grad_tol, which no J-based test can see; cut
             # the gradient itself with damped Newton steps
@@ -424,7 +408,10 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                 break
         else:
             direction = None
-            if convex or grad_sup < _NEWTON_SWITCH_TOL or it >= _GD_ITER_CAP:
+            if stationary:
+                # a saddle: descend along the most negative curvature
+                direction = _canonical_sign(evecs[:, 0])
+            elif convex or grad_sup < _NEWTON_SWITCH_TOL or it >= _GD_ITER_CAP:
                 hess = _coord_hessian(g, u, beta, basis, shift)
                 direction = _levenberg_direction(hess, gc)
             if direction is None:
@@ -432,8 +419,14 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
             slope = float(gc @ direction)
 
             def accept(v, s):
-                return _objective_below(g, v, alpha, beta, J + _ARMIJO_C * s * slope)
+                J_new = eval_J(g, v, alpha, beta)
+                if np.isfinite(J_new) and J_new <= J + _ARMIJO_C * s * slope:
+                    return J_new
+                return None
             step = _backtrack(basis, c, direction, 80, accept)
+            if step is None and stalled:
+                # no step is left that J or the gradient accepts
+                break
             stalled = step is None or step[2] == J
             if step is None:
                 continue
@@ -441,8 +434,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
         it += 1
         trace.append(J)
 
-    return _finalize(g, spectrum, regime, u, alpha, beta, J, grad_sup, it,
-                     status, tuple(trace))
+    return _finalize(g, spectrum, regime, u, alpha, beta, J, it, status, tuple(trace))
 
 
 def probe_divergence(g: Graph, spectrum: Spectrum, alpha: float, beta: float,

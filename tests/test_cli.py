@@ -324,6 +324,20 @@ def test_verify_missing_field(capsys, k2_path, tmp_path):
     assert "beta" in err
 
 
+def test_verify_probe_document_names_its_kind(capsys, k2_path, tmp_path):
+    # a probe document has no 'u': verify rejects it as an input error
+    # and says what it was given and what it reads
+    code, out, _ = run_cli(capsys, "probe", str(k2_path), "--alpha", "3", "--beta", "0")
+    assert code == 0
+    path = tmp_path / "probe.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert "probe document missing 'u'" in err
+    assert "solve report or a candidate" in err
+
+
 @pytest.mark.parametrize("extra", [
     {"regime": {"subspace_index": None}},
     {"k": [0]},

@@ -439,6 +439,81 @@ def test_minimize_certifies_below_the_gap(seed, n, k, fraction, beta):
     assert float(np.max(np.diff(report.trace), initial=0.0)) <= 1e-9 * scale
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       k=st.sampled_from([0, 1]), c=st.floats(0.5, 3.0), fraction=st.floats(0.0, 0.9),
+       m=st.floats(1.1, 50.0))
+def test_minimize_leaves_the_saddle_at_zero(seed, n, k, c, fraction, m):
+    # with h constant, u = 0 is critical and its Hessian on E_k^perp is
+    # diag(lambda - alpha) - beta / Vol, so beta = m (lambda_{k+1} - alpha) Vol
+    # with m > 1 makes it a strict saddle
+    g = random_connected_graph(np.random.default_rng(seed), n, h_range=(c, c))
+    spec = compute_spectrum(g)
+    assume(k <= spec.num_distinct - 2)
+    lam = spec.eigenvalue(k + 1)
+    alpha = fraction * lam
+    beta = m * (lam - alpha) * g.volume
+    report = minimize(g, spec, alpha, beta, k)
+    assert report.status is SolveStatus.CONVERGED
+    checks = verify_solution(g, spec, report, tol=1e-8)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+    assert report.objective < eval_J(g, np.zeros(n), alpha, beta)
+    scale = 1.0 + abs(report.objective)
+    assert float(np.max(np.diff(report.trace), initial=0.0)) <= 1e-9 * scale
+
+
+def test_saddle_with_no_acceptable_step_is_not_converged(k2, k2_spec):
+    # u = 0 is a saddle at beta = 8 on K2 with h = 1; when J rejects every
+    # trial point, the loop stops there without claiming convergence
+    real_eval_J = solver.eval_J
+
+    def infinite_off_zero(g, u, alpha, beta):
+        return real_eval_J(g, u, alpha, beta) if not np.any(u) else np.inf
+    with mock.patch.object(solver, "eval_J", infinite_off_zero):
+        report = minimize(k2, k2_spec, 0.0, 8.0)
+    assert report.iterations == 0
+    assert report.status is not SolveStatus.CONVERGED
+    assert np.array_equal(report.minimizer, np.zeros(2))
+
+
+def _benchmark_eigenvalues(g):
+    """Eigenvalues of -Delta as the benchmark computes them, apart from
+    kwgraph.spectral: a dense M^-1/2 L M^-1/2 and eigvalsh."""
+    n = g.num_vertices
+    ei, ej, ew = g.edge_arrays
+    weights = np.zeros((n, n))
+    weights[ei, ej] = ew
+    weights[ej, ei] = ew
+    lap = np.diag(weights.sum(axis=1)) - weights
+    s = 1.0 / np.sqrt(g.mu)
+    return np.linalg.eigvalsh(lap * np.outer(s, s))
+
+
+@pytest.mark.parametrize("n, j, iterations, objective", [
+    (10, 8, 110, -409965.16750581353),
+    (10, 48, 112, -175341.27604919783),
+    (20, 13, 115, -77302.95851274443),
+    (20, 66, 118, -78209.81640149842),
+    (40, 8, 115, -18669.646937981226),
+], ids=["n10/g8", "n10/g48", "n20/g13", "n20/g66", "n40/g8"])
+def test_certified_near_resonance_answers_are_pinned(n, j, iterations, objective):
+    """The near-resonance benchmark questions that certify, at
+    alpha = lambda_1 - 1e-8 and beta = 1. These answers follow the last
+    bits of lambda_1 and J, and each one lost raises the benchmark's
+    failed share. A change that alters them on purpose updates the
+    values here and records the change in CHANGES.md."""
+    g = random_connected_graph(np.random.default_rng([20230818, n, j]), n,
+                               extra_edge_prob=0.1)
+    spec = compute_spectrum(g)
+    alpha = float(_benchmark_eigenvalues(g)[1]) - 1e-8
+    report = minimize(g, spec, alpha, 1.0)
+    assert report.status is SolveStatus.CONVERGED
+    checks = verify_solution(g, spec, report, tol=1e-8)
+    assert all(c.passed for c in checks), [str(c) for c in checks]
+    assert report.iterations == iterations
+    assert abs(report.objective - objective) <= 1e-12 * abs(objective)
+
+
 def test_reports_do_not_hold_the_spectrum_buffer(p3, p3_spec):
     # a kept report must not pin the n x n buffer behind every basis
     probe = probe_divergence(p3, p3_spec, 2.0, 0.0)

@@ -10,7 +10,9 @@ printed byte-identical answers, with the keys of the answers that differ
 each workload of BENCHMARK.json, it runs ``perfbench/run.py --trace 0``
 once on each side. Which side runs first alternates from pair to pair.
 It writes ``BENCH_<L>.json`` at the repo root: ``answers_identical``,
-``answers_differ``, every run's end-to-end metrics with
+``answers_differ``, ``code_lines`` (per side, the code lines of each
+``src/kwgraph/*.py`` module and their total: non-blank lines that are
+neither comments nor docstrings), every run's end-to-end metrics with
 ``failed``/``attempted``, and per workload each side's median and
 quartiles, the number of pairs the working tree won, each side's pooled
 ``failed``/``attempted``, and the seeds whose failed share differs
@@ -20,6 +22,7 @@ between the sides (also printed to stderr when there are any).
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -55,6 +58,29 @@ def export(rev: str, dest: Path) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def code_lines(source: str) -> int:
+    """Non-blank lines of ``source`` that are neither comments nor docstrings."""
+    tree = ast.parse(source)
+    docstrings: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#")
+               and number not in docstrings)
+
+
+def package_code_lines(root: Path) -> dict[str, int]:
+    """code_lines of each ``src/kwgraph/*.py`` module, and their ``total``."""
+    counts = {path.name: code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted((root / "src" / "kwgraph").glob("*.py"))}
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def run_script(root: Path, *args: str) -> str:
@@ -133,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         roots = {"parent": parent_root, "change": ROOT}
         answers = {side: run_script(roots[side], "perfbench/make_reference.py")
                    for side in SIDES}
+        doc["code_lines"] = {side: package_code_lines(roots[side]) for side in SIDES}
         doc["answers_identical"] = answers["parent"] == answers["change"]
         doc["answers_differ"] = answers_differ(answers["parent"], answers["change"])
         if doc["answers_differ"]:
