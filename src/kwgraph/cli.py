@@ -28,7 +28,6 @@ from .solver import (
     BoundedRegimeError,
     ProbeVerdict,
     SolveStatus,
-    SolverOptions,
     UnboundedRegimeError,
     minimize,
     probe_divergence,
@@ -80,9 +79,6 @@ def _build_parser() -> _Parser:
     so.add_argument("--alpha", type=float, required=True)
     so.add_argument("--beta", type=float, required=True)
     so.add_argument("--k", type=int, default=0, help="subspace index (default 0)")
-    so.add_argument("--tol", type=float, default=SolverOptions.grad_tol,
-                    help="sup-norm gradient tolerance")
-    so.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
     so.add_argument("--json", metavar="PATH", help="also write the report here")
     so.set_defaults(func=cmd_solve)
 
@@ -91,7 +87,6 @@ def _build_parser() -> _Parser:
     pr.add_argument("--alpha", type=float, required=True)
     pr.add_argument("--beta", type=float, required=True)
     pr.add_argument("--k", type=int, default=0)
-    pr.add_argument("--csv", metavar="PATH", help="also write t,J samples as CSV")
     pr.set_defaults(func=cmd_probe)
 
     ve = sub.add_parser("verify", help="re-certify a solution document")
@@ -168,9 +163,8 @@ def _report_doc(graph_arg: str, graph: Graph, report, requested_k: int) -> dict:
 def cmd_solve(args) -> int:
     graph = _load_graph(args.graph)
     spectrum = compute_spectrum(graph)
-    opts = SolverOptions(grad_tol=args.tol, max_iters=args.max_iters)
     try:
-        report = minimize(graph, spectrum, args.alpha, args.beta, args.k, opts)
+        report = minimize(graph, spectrum, args.alpha, args.beta, args.k)
     except UnboundedRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
@@ -202,9 +196,6 @@ def cmd_probe(args) -> int:
         "samples": [[t, value] for t, value in report.samples],
     }
     _emit(doc)
-    if args.csv:
-        rows = ["t,J"] + [f"{t!r},{value!r}" for t, value in report.samples]
-        Path(args.csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"verdict: {report.verdict.value} "
           f"(final J = {report.samples[-1][1]:.6g} at t = {report.samples[-1][0]:g})",
           file=sys.stderr)

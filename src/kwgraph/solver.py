@@ -30,17 +30,18 @@ one of two acceptance tests:
      inequality every directional variance under p is at most max R / 4,
      so the Hessian is positive definite at every u (see
      _strictly_convex).
-   - at a saddle (the gradient at most grad_tol, with negative
+   - at a saddle (the gradient at most _GRAD_TOL, with negative
      curvature; u = 0 is critical whenever h is constant), the
      eigenvector of the most negative curvature (More & Sorensen 1979).
 2. Once J stops measurably decreasing while the gradient is above
-   grad_tol, a damped Newton step that cuts the projected gradient by
+   _GRAD_TOL, a damped Newton step that cuts the projected gradient by
    10%: near a strict minimum J reaches its floating-point floor before
-   the gradient reaches grad_tol.
+   the gradient reaches _GRAD_TOL.
 
-The loop converges where the gradient is at most grad_tol and the
-projected Hessian has no negative curvature. Otherwise it stops at
-max_iters, or where no step is found once J has stopped decreasing.
+The loop converges where the gradient sup norm is at most _GRAD_TOL =
+1e-10 and J is strictly convex or the projected Hessian has no negative
+curvature. Otherwise it stops after _MAX_ITERS = 10000 steps, or where
+no step is found once J has stopped decreasing.
 
 Where no minimum exists, the divergence probe samples J along the ray
 t * u_{k+1,1}. How far out it samples is worked out from the spectrum:
@@ -73,17 +74,21 @@ __all__ = [
     "RegimeTag",
     "SolveReport",
     "SolveStatus",
-    "SolverOptions",
     "UnboundedRegimeError",
     "classify_regime",
     "minimize",
     "probe_divergence",
 ]
 
+# the loop converges where the projected gradient's sup norm is at most
+# _GRAD_TOL, and stops after _MAX_ITERS accepted steps
+_GRAD_TOL = 1e-10
+_MAX_ITERS = 10_000
+
 # iterations of plain steepest descent before the damped Newton
 # direction is allowed even above _NEWTON_SWITCH_TOL, where J may be
-# non-convex; keeps badly conditioned spectra convergent within default
-# max_iters. Where _strictly_convex holds, Newton runs from the start.
+# non-convex; keeps badly conditioned spectra convergent within
+# _MAX_ITERS. Where _strictly_convex holds, Newton runs from the start.
 _GD_ITER_CAP = 100
 
 # sufficient-decrease constant and step shrink factor of the line searches
@@ -142,20 +147,6 @@ class Regime:
     trivial_subspace: bool = False
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tolerances and limits for :func:`minimize`."""
-
-    grad_tol: float = 1e-10
-    max_iters: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not 0 < self.grad_tol < math.inf:
-            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Everything needed to certify a solve independently.
@@ -167,9 +158,11 @@ class SolveReport:
     eigenfunction regime the minimizer is u_{k+1,1}, no step is taken,
     and ``alpha`` is that eigenfunction's own eigenvalue, which the
     classification matched (the requested alpha may differ from it by up
-    to the spectrum's tolerance). ``status`` is ``MaxIters`` both when
-    the loop reached ``max_iters`` and when it stopped earlier because no
-    acceptable step was left; ``iterations`` tells the two apart.
+    to the spectrum's tolerance). ``status`` is ``Converged`` when
+    ``grad_sup`` is at most ``_GRAD_TOL`` = 1e-10 at a minimum, and
+    ``MaxIters`` both when the loop reached ``_MAX_ITERS`` = 10000 steps
+    and when it stopped earlier because no acceptable step was left;
+    ``iterations`` tells the two apart.
     """
 
     regime: Regime
@@ -335,8 +328,7 @@ def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
     )
 
 
-def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0,
-             opts: SolverOptions | None = None) -> SolveReport:
+def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0) -> SolveReport:
     """Minimize J_{alpha,beta} over the subspace the regime dictates.
 
     Raises :class:`UnboundedRegimeError` when classification says no
@@ -352,8 +344,6 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     is accepted ends MaxIters. On E_j^perp = {0} the loop stops at u = 0,
     Converged at iteration 0.
     """
-    if opts is None:
-        opts = SolverOptions()
     regime = classify_regime(spectrum, alpha, beta, k)
     if regime.tag is RegimeTag.UNBOUNDED_BELOW:
         raise UnboundedRegimeError(
@@ -381,18 +371,23 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     while True:
         gc = _coord_gradient(g, basis, u, alpha, beta)
         grad_sup = float(np.max(np.abs(gc @ basis)))
-        stationary = grad_sup <= opts.grad_tol
+        stationary = grad_sup <= _GRAD_TOL
         if stationary:
-            evals, evecs = np.linalg.eigh(_coord_hessian(g, u, beta, basis, shift))
-            # on E_j^perp = {0}, evals is empty and u = 0 converges here
-            if np.min(evals, initial=0.0) >= -1e-9 * (1.0 + np.max(np.abs(evals), initial=0.0)):
+            # a critical point of a strictly convex J is its minimum (on
+            # E_j^perp = {0}, beta < 0, so u = 0 converges here); elsewhere
+            # it must show no negative curvature
+            if convex:
                 status = SolveStatus.CONVERGED
                 break
-        if it >= opts.max_iters:
+            evals, evecs = np.linalg.eigh(_coord_hessian(g, u, beta, basis, shift))
+            if np.min(evals) >= -1e-9 * (1.0 + np.max(np.abs(evals))):
+                status = SolveStatus.CONVERGED
+                break
+        if it >= _MAX_ITERS:
             break
         if stalled and not stationary:
             # J sits at its floating-point floor while the gradient is
-            # still above grad_tol, which no J-based test can see; cut
+            # still above _GRAD_TOL, which no J-based test can see; cut
             # the gradient itself with damped Newton steps
             direction = _levenberg_direction(_coord_hessian(g, u, beta, basis, shift), gc)
             if direction is None:

@@ -39,7 +39,6 @@ __all__ = [
     "poincare_constant",
     "project_Ek",
     "project_Ek_perp",
-    "spectrum_from_dict",
     "spectrum_to_dict",
 ]
 
@@ -224,15 +223,3 @@ def spectrum_to_dict(spectrum: Spectrum) -> dict:
         "bases": [[[float(x) for x in row] for row in block] for block in spectrum.bases],
         "row_eigenvalues": [float(v) for v in spectrum.row_eigenvalues],
     }
-
-
-def spectrum_from_dict(doc: dict) -> Spectrum:
-    """Inverse of :func:`spectrum_to_dict`. ``distinct_eigenvalues`` is
-    derived from ``row_eigenvalues`` and ``multiplicities``, and unknown
-    keys are ignored."""
-    return Spectrum(
-        multiplicities=_read_only(np.array(doc["multiplicities"], dtype=int)),
-        rows=_read_only(np.array([row for block in doc["bases"] for row in block],
-                                 dtype=float)),
-        row_eigenvalues=_read_only(np.array(doc["row_eigenvalues"], dtype=float)),
-    )

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import kwgraph
-from kwgraph import spectrum_from_dict
+from kwgraph import compute_spectrum, parse_graph, solver, spectrum_to_dict
 from kwgraph.cli import main
 
-from conftest import K2_DOC
+from conftest import K2_DOC, P3_DOC
 
 
 def run_cli(capsys, *argv):
@@ -35,13 +35,11 @@ def test_spectrum_json_round_trip(capsys, p3_path):
     code, out, _ = run_cli(capsys, "spectrum", str(p3_path), "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["poincare_constant"] == 1.0
-    spec = spectrum_from_dict(doc)
-    assert np.allclose(spec.distinct_eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
-    assert list(spec.multiplicities) == [1, 1, 1]
-    # bases survive the JSON round trip exactly
-    for block in spec.bases:
-        assert block.dtype == np.float64
+    assert doc.pop("poincare_constant") == 1.0
+    assert np.allclose(doc["distinct_eigenvalues"], [0.0, 1.0, 3.0], atol=1e-12)
+    assert doc["multiplicities"] == [1, 1, 1]
+    # every float, bases included, survives the JSON round trip exactly
+    assert doc == spectrum_to_dict(compute_spectrum(parse_graph(P3_DOC)))
 
 
 def test_spectrum_missing_file(capsys, tmp_path):
@@ -138,9 +136,9 @@ def test_solve_at_gap_positive_beta_exit_2(capsys, k2_path):
     assert code == 2
 
 
-def test_solve_max_iters_exit_3(capsys, k2_path):
-    code, out, _ = run_cli(capsys, "solve", str(k2_path),
-                           "--alpha", "0", "--beta", "8", "--max-iters", "1")
+def test_solve_max_iters_exit_3(capsys, k2_path, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+    code, out, _ = run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", "8")
     assert code == 3
     assert json.loads(out)["status"] == "MaxIters"
 
@@ -204,20 +202,10 @@ def test_probe_unbounded_exit_0(capsys, k2_path):
     assert "unbounded" in err
 
 
-def test_probe_csv_copy(capsys, k2_path, tmp_path):
-    csv_path = tmp_path / "ray.csv"
-    code, out, _ = run_cli(capsys, "probe", str(k2_path),
-                           "--alpha", "3", "--beta", "0", "--csv", str(csv_path))
+def test_probe_beta_zero_samples_are_quadratic(capsys, k2_path):
+    code, out, _ = run_cli(capsys, "probe", str(k2_path), "--alpha", "3", "--beta", "0")
     assert code == 0
     doc = json.loads(out)
-    lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "t,J"
-    assert len(lines) == len(doc["samples"]) + 1
-    # repr round-trip: every CSV row reproduces the JSON sample exactly
-    for row, (t, value) in zip(lines[1:], doc["samples"]):
-        t_text, value_text = row.split(",")
-        assert float(t_text) == t
-        assert float(value_text) == value
     # alpha > lambda_1 with beta = 0: J(t e_1) = -t^2/2 exactly
     t11, v11 = doc["samples"][11]
     assert t11 == 2048.0
@@ -437,10 +425,10 @@ def test_verify_candidate_near_float_range_exit_5_with_nulls(capsys, k2_path, tm
         assert checks[name]["value"] is None
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_infinite_tol_exit_1(capsys, k2_path, tmp_path, command):
-    # --tol inf once let a solve "converge" anywhere and verify pass any
-    # candidate, here one corrupted by +0.5 at one vertex
+    # --tol inf once let verify pass any candidate, here one corrupted by
+    # +0.5 at one vertex
     report_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", "8",
                          "--json", str(report_path))
@@ -448,12 +436,24 @@ def test_infinite_tol_exit_1(capsys, k2_path, tmp_path, command):
     doc = json.loads(report_path.read_text(encoding="utf-8"))
     doc["u"]["a"] += 0.5
     report_path.write_text(json.dumps(doc), encoding="utf-8")
-    argv = {"solve": ["solve", str(k2_path), "--alpha", "0.1", "--beta", "3"],
-            "verify": ["verify", str(report_path)]}[command]
-    code, out, err = run_cli(capsys, *argv, "--tol", "inf")
+    code, out, err = run_cli(capsys, command, str(report_path), "--tol", "inf")
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", ("--tol", "1e-12")),
+    ("solve", ("--max-iters", "5")),
+    ("probe", ("--csv", "ray.csv")),
+], ids=["solve-tol", "solve-max-iters", "probe-csv"])
+def test_removed_flags_are_unrecognized(capsys, k2_path, command, flag):
+    alpha = {"solve": "0", "probe": "3"}[command]
+    code, out, err = run_cli(capsys, command, str(k2_path), "--alpha", alpha,
+                             "--beta", "1", *flag)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments") and flag[0] in err
 
 
 def test_non_finite_output_is_an_error_not_json(capsys, k2_path):

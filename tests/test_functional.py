@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kwgraph import (
@@ -20,6 +20,7 @@ from kwgraph import (
     heu_lower_bound,
     heu_weights,
     hessian_quadratic_form,
+    kw_residual,
     log_integral_h_exp,
     mu_inner,
     norm_one_alpha,
@@ -112,6 +113,23 @@ def test_el_gradient_finite_difference():
               - eval_J(g, u - step * phi, alpha, beta)) / (2 * step)
         pairing = mu_inner(g, el_gradient(g, spec, u, alpha, beta, k), phi)
         assert abs(pairing - fd) <= 1e-6 * (1.0 + abs(fd))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), k=st.sampled_from([0, 1]),
+       alpha=st.floats(-10.0, 10.0), beta=st.floats(-10.0, 10.0))
+def test_el_gradient_is_minus_kw_residual(seed, n, k, alpha, beta):
+    # the Euler-Lagrange gradient on E_k^perp is minus the Kazdan-Warner
+    # residual with its closed-form multipliers; the identity needs u in
+    # E_k^perp, because the residual drops every component along E_k
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n)
+    spec = compute_spectrum(g)
+    assume(k <= spec.num_distinct - 2)
+    u = project_Ek_perp(spec, g, rng.standard_normal(n), k)
+    grad = el_gradient(g, spec, u, alpha, beta, k)
+    residual = kw_residual(g, spec, u, alpha, beta, k)
+    assert float(np.max(np.abs(grad + residual))) <= 1e-13 * (1.0 + float(np.max(np.abs(grad))))
 
 
 def test_hessian_oracles(k2):

@@ -15,7 +15,6 @@ from kwgraph import (
     ProbeVerdict,
     RegimeTag,
     SolveStatus,
-    SolverOptions,
     UnboundedRegimeError,
     classify_regime,
     complete_graph,
@@ -202,20 +201,6 @@ def test_non_finite_alpha_or_beta_rejected(k2, k2_spec, alpha, beta):
         probe_divergence(k2, k2_spec, alpha, beta)
 
 
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iters=0)
-
-
-@pytest.mark.parametrize("grad_tol", [np.inf, np.nan, -1e-10])
-def test_solver_options_reject_non_finite_grad_tol(grad_tol):
-    # an infinite grad_tol once reported Converged for any first step
-    with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
-        SolverOptions(grad_tol=grad_tol)
-
-
 # ---------------------------------------------------------------- K2 line
 
 
@@ -347,9 +332,9 @@ def test_minimize_raises_on_unbounded(k2, k2_spec):
         minimize(k2, k2_spec, 2.0, 1.0)
 
 
-def test_max_iters_status(k2, k2_spec):
-    opts = SolverOptions(max_iters=1)
-    report = minimize(k2, k2_spec, 0.0, 8.0, opts=opts)
+def test_max_iters_status(k2, k2_spec, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+    report = minimize(k2, k2_spec, 0.0, 8.0)
     assert report.status is SolveStatus.MAX_ITERS
     assert report.iterations == 1
 
@@ -754,6 +739,25 @@ def test_minimize_newton_certifies_nonpositive_beta(seed, n, k, fraction, next_p
     assert float(np.max(np.abs(report.minimizer - warm.minimizer))) <= 1e-9 * size
     failed = {c.name for c in verify_solution(g, spec, report, tol=1e-8) if not c.passed}
     assert failed <= {c.name for c in verify_solution(g, spec, warm, tol=1e-8) if not c.passed}
+
+
+@pytest.mark.parametrize("alpha_of, beta, k", [
+    (lambda lam1, lam2: 0.5 * lam1, 0.0, 0),
+    (lambda lam1, lam2: 0.5 * lam1, -5.0, 0),
+    (lambda lam1, lam2: lam1, -5.0, 0),
+    (lambda lam1, lam2: 0.5 * (lam1 + lam2), -1.0, 1),
+], ids=["beta-zero", "below-gap", "next-perp", "k1"])
+def test_convex_solve_takes_no_eigendecomposition(monkeypatch, alpha_of, beta, k):
+    # where J is strictly convex a stationary point is its minimum, so no
+    # Hessian eigendecomposition is needed to converge
+    g = random_connected_graph(np.random.default_rng(5), 12)
+    spec = compute_spectrum(g)
+    alpha = alpha_of(spec.eigenvalue(1), spec.eigenvalue(2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert minimize(g, spec, alpha, beta, k).status is SolveStatus.CONVERGED
 
 
 def test_convexity_test_is_nearly_tight():

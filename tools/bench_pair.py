@@ -6,13 +6,16 @@ First it runs ``perfbench/make_reference.py`` once on the committed
 files of PARENT_REV (exported with ``git archive`` into a temporary
 directory) and once in the working tree, and records whether the two
 printed byte-identical answers, with the keys of the answers that differ
-(also printed to stderr when there are any). Then, for each seed and
-each workload of BENCHMARK.json, it runs ``perfbench/run.py --trace 0``
-once on each side. Which side runs first alternates from pair to pair.
-It writes ``BENCH_<L>.json`` at the repo root: ``answers_identical``,
-``answers_differ``, ``code_lines`` (per side, the code lines of each
-``src/kwgraph/*.py`` module and their total: non-blank lines that are
-neither comments nor docstrings), every run's end-to-end metrics with
+(also printed to stderr when there are any). It records each side's
+work per answer from one ``perfbench/run.py --trace 1`` run of seed 1
+per workload, and whether the two sides did the same work. Then, for
+each seed and each workload of BENCHMARK.json, it runs
+``perfbench/run.py --trace 0`` once on each side. Which side runs first
+alternates from pair to pair. It writes ``BENCH_<L>.json`` at the repo
+root: ``answers_identical``, ``answers_differ``, ``code_lines`` (per
+side, the code lines of each ``src/kwgraph/*.py`` module and their
+total: non-blank lines that are neither comments nor docstrings),
+``work`` and ``work_identical``, every run's end-to-end metrics with
 ``failed``/``attempted``, and per workload each side's median and
 quartiles, the number of pairs the working tree won, each side's pooled
 ``failed``/``attempted``, and the seeds whose failed share differs
@@ -110,6 +113,35 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "correct": result["correct"]}
 
 
+def work_counts(root: Path, workload: str, seconds: float) -> dict:
+    """Work per answer of one traced run of seed 1: minimize iterations,
+    the calls of every traced function made inside answers (set-up
+    excluded), and the count of each minimize status."""
+    stdout = run_script(root, "perfbench/run.py", "--workload", workload, "--seed", "1",
+                        "--seconds", str(seconds), "--trace", "1")
+    result = json.loads(stdout.strip().splitlines()[-1])
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    answers = result["attempted"]
+    with np.load(root / "perfbench" / "out" / f"spans-{workload}.npz") as spans:
+        counts = np.bincount(spans["name"][spans["answer"] >= 0], minlength=len(spans["names"]))
+        calls = dict(zip(spans["names"].tolist(), counts.tolist()))
+    traced = [k.removesuffix(".calls") for k in metrics if k.endswith(".calls")]
+    return {
+        "answers": answers,
+        "iterations": metrics["solver.minimize.iterations"] / answers,
+        "calls": {name: calls.get(name, 0) / answers for name in traced},
+        "status": {k.removeprefix("solver.minimize.status."): int(v)
+                   for k, v in metrics.items() if k.startswith("solver.minimize.status.")},
+    }
+
+
+def per_answer(work: dict) -> tuple:
+    """What ``work_counts`` measured, with status counts as shares of the
+    answers, so that runs of different lengths compare."""
+    return (work["iterations"], work["calls"],
+            {status: count / work["answers"] for status, count in work["status"].items()})
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out: dict = {}
     for side in SIDES:
@@ -164,6 +196,12 @@ def main(argv: list[str] | None = None) -> int:
         doc["answers_differ"] = answers_differ(answers["parent"], answers["change"])
         if doc["answers_differ"]:
             print(f"answers differ: {doc['answers_differ']}", file=sys.stderr)
+        doc["work"] = {side: {w: work_counts(roots[side], w, seconds) for w in workloads}
+                       for side in SIDES}
+        doc["work_identical"] = {w: per_answer(doc["work"]["parent"][w])
+                                 == per_answer(doc["work"]["change"][w]) for w in workloads}
+        if not all(doc["work_identical"].values()):
+            print(f"work per answer differs: {doc['work_identical']}", file=sys.stderr)
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
