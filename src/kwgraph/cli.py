@@ -110,12 +110,15 @@ def _load_graph(path: str | Path) -> Graph:
 
 
 def _emit(doc: dict, copy_path: str | None = None) -> None:
-    # a non-finite number raises ValueError (exit 1) before anything is
-    # written, so stdout is always strict JSON
+    # a non-finite number or an unwritable copy raises (exit 1) before
+    # anything reaches stdout, so stdout is always strict JSON or empty
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    sys.stdout.write(text)
     if copy_path:
-        Path(copy_path).write_text(text, encoding="utf-8")
+        try:
+            Path(copy_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliInputError(f"cannot write report '{copy_path}': {exc}") from exc
+    sys.stdout.write(text)
 
 
 def cmd_spectrum(args) -> int:

@@ -138,9 +138,9 @@ def heu_lower_bound(g: Graph, spectrum: Spectrum, u) -> HeuBound:
     return HeuBound(_safe_exp(log_lhs), _safe_exp(log_rhs), log_lhs >= log_rhs)
 
 
-def estimate_tm_constant(g: Graph, theta: float, budget: int) -> float:
+def estimate_tm_constant(g: Graph, theta: float) -> float:
     """Lower estimate of sup integral(e^{theta v^2}) over the unit
-    Dirichlet sphere in H, by the power method with restarts.
+    Dirichlet sphere in H, by the power method from one start.
 
     With u_s the mu-orthonormal eigenfunctions of -Delta for lambda_s > 0,
     the coordinates c of v = sum_s c_s u_s / sqrt(lambda_s) have
@@ -149,57 +149,45 @@ def estimate_tm_constant(g: Graph, theta: float, budget: int) -> float:
     step c' = grad F / |grad F| never decreases F: convexity gives
     F(c') >= F(c) + grad F . (c' - c), and grad F . c' = |grad F|
     >= grad F . c by Cauchy-Schwarz. No step size or line search is
-    needed. A restart stops when log F stops strictly increasing, or
+    needed. The ascent stops when log F stops strictly increasing, or
     after 300 steps, and is scored at its end point rescaled onto the
     sphere computed from the graph itself.
 
     With the Green's matrix G_xy = sum_s u_s(x) u_s(y) / lambda_s,
     Cauchy-Schwarz gives v_x^2 <= |c|^2 G_xx, with equality at
     c_x = (u_s(x) / sqrt(lambda_s))_s / sqrt(G_xx), where
-    v = G[x] / sqrt(G_xx). One restart starts at the c_x with the
-    largest F, and ``budget`` more at standard normal draws of
-    generators seeded with (0, r), r < budget. So, up to rounding,
+    v = G[x] / sqrt(G_xx). The ascent starts at the c_x with the largest
+    F. So, up to rounding,
 
         max_x mu_x e^{theta G_xx} <= estimate <= sup <= sum_x mu_x e^{theta G_xx},
 
     which puts the estimate within a factor n of the supremum; it is
-    deterministic, at least Vol(V), and nondecreasing in ``budget``,
-    and saturates to inf where the supremum overflows float64. Raises
-    ValueError for a budget below 1, a single vertex, a theta that is
-    not finite and >= 0, or a disconnected graph.
+    deterministic and at least Vol(V), and saturates to inf where the
+    supremum overflows float64. Raises ValueError for a single vertex,
+    a theta that is not finite and >= 0, or a disconnected graph.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     if g.num_vertices < 2:
         raise ValueError("the mean-zero subspace is trivial on a single vertex")
     if not 0.0 <= theta < math.inf:
         raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
     spectrum = compute_spectrum(g)
-    rows = spectrum.split(0)[1]
-    root_lam = np.sqrt(_coord_shift(spectrum, 0, 0.0))
-    coords = rows / root_lam[:, None]
+    coords = spectrum.split(0)[1] / np.sqrt(_coord_shift(spectrum, 0, 0.0))[:, None]
     # row x of G / sqrt(G_xx) is the v of the start with v_x^2 = G_xx
     green = coords.T @ coords
     peaks = green / np.sqrt(np.diag(green))[:, None]
     top = max(range(g.num_vertices), key=lambda x: _logsumexp(theta * peaks[x] ** 2, g.mu))
-    starts = [coords[:, top]]
-    for r in range(budget):
-        z = np.random.default_rng((0, r)).standard_normal(g.num_vertices)
-        starts.append(root_lam * (rows @ (g.mu * z)))
-    best = -math.inf
-    for c in starts:
-        v = (c / np.linalg.norm(c)) @ coords
-        value = _logsumexp(theta * v * v, g.mu)
-        for _ in range(300):
-            # grad F / (2 theta F), finite however large theta v^2 is
-            c = coords @ (g.mu * np.exp(theta * v * v - value) * v)
-            trial = (c / np.linalg.norm(c)) @ coords
-            trial_value = _logsumexp(theta * trial * trial, g.mu)
-            if not trial_value > value:
-                break
-            v, value = trial, trial_value
-        # the eigenfunctions are orthonormal only to rounding, which puts
-        # |c| = 1 up to ~1e-8 off the sphere on ill-conditioned graphs
-        v = project_mean_zero(g, v)
-        best = max(best, _logsumexp(theta * v * v / dirichlet_energy(g, v), g.mu))
-    return _safe_exp(best)
+    c = coords[:, top]
+    v = (c / np.linalg.norm(c)) @ coords
+    value = _logsumexp(theta * v * v, g.mu)
+    for _ in range(300):
+        # grad F / (2 theta F), finite however large theta v^2 is
+        c = coords @ (g.mu * np.exp(theta * v * v - value) * v)
+        trial = (c / np.linalg.norm(c)) @ coords
+        trial_value = _logsumexp(theta * trial * trial, g.mu)
+        if not trial_value > value:
+            break
+        v, value = trial, trial_value
+    # the eigenfunctions are orthonormal only to rounding, which puts
+    # |c| = 1 up to ~1e-8 off the sphere on ill-conditioned graphs
+    v = project_mean_zero(g, v)
+    return _safe_exp(_logsumexp(theta * v * v / dirichlet_energy(g, v), g.mu))

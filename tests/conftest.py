@@ -82,6 +82,17 @@ def p3_path(tmp_path):
     return path
 
 
+def dense_laplacian(g) -> np.ndarray:
+    """L = D - W as a dense matrix, built from the edge list: an oracle
+    independent of the library's own assembly."""
+    n = g.num_vertices
+    weights = np.zeros((n, n))
+    for i, j, w in g.edges:
+        weights[i, j] += w
+        weights[j, i] += w
+    return np.diag(weights.sum(axis=1)) - weights
+
+
 def random_mean_zero(rng: np.random.Generator, g, scale: float = 1.0) -> np.ndarray:
     from kwgraph import project_mean_zero
 

@@ -122,6 +122,16 @@ def test_solve_json_file_copy(capsys, k2_path, tmp_path):
     assert np.isclose(doc["objective"], 3.0 * np.log(2.0), rtol=1e-12)
 
 
+def test_solve_json_to_unwritable_path_exit_1(capsys, k2_path, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "solve", str(k2_path),
+                             "--alpha", "0", "--beta", "8", "--json", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write report") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_solve_unbounded_exit_2(capsys, k2_path):
     code, out, err = run_cli(capsys, "solve", str(k2_path),
                              "--alpha", "3", "--beta", "1")

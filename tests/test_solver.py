@@ -570,6 +570,21 @@ def test_probe_inconclusive_past_rounding_cap(k2, k2_spec, beta):
     assert all(np.isfinite(value) for _, value in report.samples)
 
 
+def test_probe_rounding_cap_boundary(k2, k2_spec):
+    # at alpha = lambda_1 on K2, t* ~ 2e5 sqrt 2 / beta and the rounding of
+    # the quadratic term is t*^2 eps (|lambda_1| + |alpha|): about 71 at
+    # beta = 1e-3, inside the cap 1e-3 |DIVERGENCE_DEPTH| = 100, and about
+    # 284 at beta = 5e-4, past it
+    report = probe_divergence(k2, k2_spec, 2.0, 1e-3)
+    assert report.verdict is ProbeVerdict.UNBOUNDED
+    assert report.samples[-1][0] == 2.0 ** 29
+    report = probe_divergence(k2, k2_spec, 2.0, 5e-4)
+    assert report.verdict is ProbeVerdict.INCONCLUSIVE
+    t, value = report.samples[-1]
+    assert t == 2.0 ** 20
+    assert np.isclose(value, -370.7276000947327, rtol=1e-9)
+
+
 def test_probe_extends_ray_to_envelope_length(k2, k2_spec):
     # J(t v) = -beta log(2 cosh(t / sqrt 2)) at alpha = lambda_1 on K2, which
     # first drops below 2 * DIVERGENCE_DEPTH at t* ~ 2e5 sqrt 2 / beta

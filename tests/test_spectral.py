@@ -23,7 +23,7 @@ from kwgraph import (
     random_connected_graph,
     spectrum_to_dict,
 )
-from conftest import log_uniform_graph
+from conftest import dense_laplacian, log_uniform_graph
 
 
 def spectrum_from_dict(doc: dict) -> Spectrum:
@@ -46,13 +46,7 @@ def all_eigenpairs(spectrum):
 
 def brute_eigenvalues(g):
     # independent oracle: generalized problem L u = lambda M u
-    n = g.num_vertices
-    weights = np.zeros((n, n))
-    for i, j, w in g.edges:
-        weights[i, j] += w
-        weights[j, i] += w
-    lap = np.diag(weights.sum(axis=1)) - weights
-    return scipy.linalg.eigh(lap, np.diag(g.mu), eigvals_only=True)
+    return scipy.linalg.eigh(dense_laplacian(g), np.diag(g.mu), eigvals_only=True)
 
 
 def test_k2_spectrum(k2_spec):

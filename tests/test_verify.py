@@ -268,3 +268,45 @@ def test_verify_candidate_near_float_range_fails_without_warning(k2, k2_spec):
     for name in ("kw_residual_sup", "kw_residual_l2", "residual_mean_zero"):
         assert not checks[name].passed
         assert not np.isfinite(checks[name].value)
+
+
+def _checks_at(name, factor, k2, k2_spec, p3, p3_spec):
+    """verify_candidate at tol = 1e-8 on a K2 or P3 candidate whose value
+    for check ``name`` is ``factor`` times that check's limit."""
+    x = factor * 1e-8
+    claims = {}
+    if name == "mean_zero":
+        # a constant u has integral Vol x and residual 0
+        args = (p3, p3_spec, np.full(3, x), 0.0, 0.0, 0)
+    elif name == "eigenspace_orthogonality":
+        # x u_11 at alpha = lambda_1 = 1: <u, u_11>_mu = x, residual ~ 0
+        args = (p3, p3_spec, x * p3_spec.bases[1][0], 1.0, 0.0, 1)
+    elif name in ("kw_residual_sup", "kw_residual_l2"):
+        # the residual is Delta u = (-x, x) for u = (x, -x) / 2: sup x, L2 x sqrt(Vol)
+        args = (k2, k2_spec, 0.5 * x * np.array([1.0, -1.0]), 0.0, 0.0, 0)
+    elif name == "residual_mean_zero":
+        # the residual is alpha u = x for a constant u = x at alpha = 1
+        args = (k2, k2_spec, np.full(2, x), 1.0, 0.0, 0)
+    elif name == "multiplier_xi":
+        # xi = beta / Vol = 1/2 for u = 0, beta = 1
+        args = (k2, k2_spec, np.zeros(2), 0.0, 1.0, 0)
+        claims = {"claimed_xi": 0.5 + x}
+    else:
+        # t_11 = 0 for u = 0 and constant h
+        args = (p3, p3_spec, np.zeros(3), 1.0, -1.0, 1)
+        claims = {"claimed_t": ((1, 1, x),)}
+    return {c.name: c for c in verify_candidate(*args, tol=1e-8, **claims)}
+
+
+@pytest.mark.parametrize("factor, passed", [(0.5, True), (0.9, True), (1.1, False),
+                                            (2.0, False)])
+@pytest.mark.parametrize("name", ["mean_zero", "eigenspace_orthogonality", "kw_residual_sup",
+                                  "kw_residual_l2", "residual_mean_zero", "multiplier_xi",
+                                  "multiplier_t"])
+def test_each_check_passes_inside_its_limit_and_fails_outside(
+        name, factor, passed, k2, k2_spec, p3, p3_spec):
+    # the L2 and mean checks of the residual are bounded by its sup, so they
+    # fail only together with kw_residual_sup; only the named flag is asserted
+    check = _checks_at(name, factor, k2, k2_spec, p3, p3_spec)[name]
+    assert np.isclose(check.value, factor * check.limit, rtol=1e-6)
+    assert check.passed == passed
