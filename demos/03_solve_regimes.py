@@ -27,8 +27,7 @@ print()
 
 def show(alpha, beta):
     regime = classify_regime(spec, alpha, beta, 0)
-    print(f"alpha={alpha:g} beta={beta:g}: {regime.tag.value}"
-          + (" (trivial subspace)" if regime.trivial_subspace else ""))
+    print(f"alpha={alpha:g} beta={beta:g}: {regime.tag.value}")
     try:
         report = minimize(g, spec, alpha, beta)
     except UnboundedRegimeError:

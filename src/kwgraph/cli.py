@@ -25,7 +25,6 @@ import numpy as np
 
 from .graphs import Graph, _as_number, parse_graph, validate
 from .solver import (
-    BoundedRegimeError,
     ProbeVerdict,
     SolveStatus,
     UnboundedRegimeError,
@@ -148,7 +147,6 @@ def _report_doc(graph_arg: str, graph: Graph, report, requested_k: int) -> dict:
         "regime": {
             "tag": report.regime.tag.value,
             "subspace_index": report.regime.subspace_index,
-            "trivial_subspace": report.regime.trivial_subspace,
         },
         "status": report.status.value,
         "objective": report.objective,
@@ -184,11 +182,7 @@ def cmd_solve(args) -> int:
 def cmd_probe(args) -> int:
     graph = _load_graph(args.graph)
     spectrum = compute_spectrum(graph)
-    try:
-        report = probe_divergence(graph, spectrum, args.alpha, args.beta, args.k)
-    except BoundedRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = probe_divergence(graph, spectrum, args.alpha, args.beta, args.k)
     doc = {
         "graph": args.graph,
         "alpha": args.alpha,
@@ -304,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (CliInputError, ValueError) as exc:
-        # GraphFormatError is a ValueError
+        # GraphFormatError and BoundedRegimeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -161,10 +161,16 @@ def estimate_tm_constant(g: Graph, theta: float) -> float:
 
         max_x mu_x e^{theta G_xx} <= estimate <= sup <= sum_x mu_x e^{theta G_xx},
 
-    which puts the estimate within a factor n of the supremum; it is
-    deterministic and at least Vol(V), and saturates to inf where the
-    supremum overflows float64. Raises ValueError for a single vertex,
-    a theta that is not finite and >= 0, or a disconnected graph.
+    which puts the estimate within a factor n of the supremum. The
+    ascent stops at a local maximum of F on the sphere, which can lie
+    below the supremum: on random graphs with n <= 40 it ended up to
+    1.09e-2 relative below the best of 16 starts where mu and w were
+    log-uniform in 10^+-1 (theta = 2), and up to 8.3e-4 below where
+    ``random_connected_graph`` drew them from (10^-r, 10^r), r <= 3.
+    The estimate is deterministic and at least Vol(V), and saturates to
+    inf where the supremum overflows float64. Raises ValueError for a
+    single vertex, a theta that is not finite and >= 0, or a
+    disconnected graph.
     """
     if g.num_vertices < 2:
         raise ValueError("the mean-zero subspace is trivial on a single vertex")

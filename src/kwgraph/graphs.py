@@ -66,7 +66,7 @@ class Graph:
             raise ValueError(f"mu has shape {mu.shape}, expected ({n},)")
         if h.shape != (n,):
             raise ValueError(f"h has shape {h.shape}, expected ({n},)")
-        if not edges:
+        if len(edges) == 0:
             ei, ej, ew = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
         elif set(map(len, edges)) != {3}:
             raise ValueError("every edge must be an (i, j, w) triple")

@@ -137,14 +137,13 @@ class Regime:
     """Classification outcome: which problem to solve and where.
 
     ``subspace_index`` is the j of the subspace E_j^perp the minimizer
-    lives in (or the probed k for UNBOUNDED_BELOW);
-    ``trivial_subspace`` flags E_j^perp = {0}, where u = 0 is the
-    unique, exact solution.
+    lives in (or the probed k for UNBOUNDED_BELOW). E_j^perp = {0}
+    exactly when j is the spectrum's last group index,
+    ``num_distinct - 1``; u = 0 is then the unique, exact solution.
     """
 
     tag: RegimeTag
     subspace_index: int
-    trivial_subspace: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +212,7 @@ def classify_regime(spectrum: Spectrum, alpha: float, beta: float, k: int = 0) -
         if beta == 0:
             return Regime(RegimeTag.EIGENFUNCTION_SOLUTION, k)
         if beta < 0:
-            return Regime(RegimeTag.MINIMIZER_IN_NEXT_PERP, k + 1,
-                          trivial_subspace=(k + 1 >= m - 1))
+            return Regime(RegimeTag.MINIMIZER_IN_NEXT_PERP, k + 1)
         return Regime(RegimeTag.UNBOUNDED_BELOW, k)
     return Regime(RegimeTag.UNBOUNDED_BELOW, k)
 
@@ -263,19 +261,18 @@ def _strictly_convex(basis: np.ndarray, shift: np.ndarray, beta: float) -> bool:
 
 def _levenberg_direction(hess: np.ndarray, gc: np.ndarray) -> np.ndarray | None:
     """Solve (H + delta I) p = -g with delta doubled from 1e-8 until the
-    Cholesky factorization succeeds."""
+    Cholesky factorization and both triangular solves succeed with a
+    finite p."""
     eye = np.eye(hess.shape[0])
     delta = 0.0
     for _ in range(80):
         try:
             factor = np.linalg.cholesky(hess + delta * eye)
+            p = np.linalg.solve(factor.T, np.linalg.solve(factor, -gc))
+            if np.all(np.isfinite(p)):
+                return p
         except np.linalg.LinAlgError:
-            delta = 1e-8 if delta == 0.0 else 2.0 * delta
-            continue
-        y = np.linalg.solve(factor, -gc)
-        p = np.linalg.solve(factor.T, y)
-        if np.all(np.isfinite(p)):
-            return p
+            pass
         delta = 1e-8 if delta == 0.0 else 2.0 * delta
     return None
 
@@ -300,11 +297,12 @@ def _backtrack(basis: np.ndarray, c: np.ndarray, direction: np.ndarray, tries: i
 
 
 def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
-              alpha: float, beta: float, objective: float, iterations: int,
-              status: SolveStatus, trace: tuple[float, ...]) -> SolveReport:
+              alpha: float, beta: float, status: SolveStatus,
+              trace: tuple[float, ...]) -> SolveReport:
     """Certificate and report for a copy of u (so a kept report does not
     pin the spectrum's n x n buffer), with the projected gradient measured
-    as the loop of :func:`minimize` measures it."""
+    as the loop of :func:`minimize` measures it. J and the step count are
+    read off ``trace``, which starts at u = 0 and ends at u."""
     j = regime.subspace_index
     basis = spectrum.split(j)[1]
     grad = _coord_gradient(g, basis, u, alpha, beta) @ basis
@@ -315,12 +313,12 @@ def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
     return SolveReport(
         regime=regime,
         minimizer=u,
-        objective=float(objective),
+        objective=float(trace[-1]),
         grad_sup=float(np.max(np.abs(grad))),
         xi=xi,
         t_multipliers=t,
         residual_sup=float(np.max(np.abs(r))),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         status=status,
         alpha=float(alpha),
         beta=float(beta),
@@ -353,8 +351,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     if regime.tag is RegimeTag.EIGENFUNCTION_SOLUTION:
         # u_{j+1,1} solves exactly, with J = 0 at alpha = lambda_{j+1}
         return _finalize(g, spectrum, regime, spectrum.bases[j + 1][0],
-                         spectrum.eigenvalue(j + 1), beta, 0.0, 0,
-                         SolveStatus.CONVERGED, (0.0,))
+                         spectrum.eigenvalue(j + 1), beta, SolveStatus.CONVERGED, (0.0,))
 
     basis = spectrum.split(j)[1]
     u = np.zeros(g.num_vertices)
@@ -367,7 +364,6 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
     # set when an Armijo search can no longer measurably decrease J; the
     # steps after it are accepted on the gradient until it is stationary
     stalled = False
-    it = 0
     while True:
         gc = _coord_gradient(g, basis, u, alpha, beta)
         grad_sup = float(np.max(np.abs(gc @ basis)))
@@ -383,7 +379,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
             if np.min(evals) >= -1e-9 * (1.0 + np.max(np.abs(evals))):
                 status = SolveStatus.CONVERGED
                 break
-        if it >= _MAX_ITERS:
+        if len(trace) > _MAX_ITERS:
             break
         if stalled and not stationary:
             # J sits at its floating-point floor while the gradient is
@@ -406,7 +402,7 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
             if stationary:
                 # a saddle: descend along the most negative curvature
                 direction = _canonical_sign(evecs[:, 0])
-            elif convex or grad_sup < _NEWTON_SWITCH_TOL or it >= _GD_ITER_CAP:
+            elif convex or grad_sup < _NEWTON_SWITCH_TOL or len(trace) > _GD_ITER_CAP:
                 hess = _coord_hessian(g, u, beta, basis, shift)
                 direction = _levenberg_direction(hess, gc)
             if direction is None:
@@ -426,10 +422,9 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
             if step is None:
                 continue
         c, u, J = step
-        it += 1
         trace.append(J)
 
-    return _finalize(g, spectrum, regime, u, alpha, beta, J, it, status, tuple(trace))
+    return _finalize(g, spectrum, regime, u, alpha, beta, status, tuple(trace))
 
 
 def probe_divergence(g: Graph, spectrum: Spectrum, alpha: float, beta: float,

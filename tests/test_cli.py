@@ -386,6 +386,25 @@ def test_verify_uses_regime_subspace(capsys, p3_path, tmp_path):
     assert doc["all_passed"] is True
 
 
+def test_verify_reads_reports_whose_regime_has_a_trivial_subspace_key(capsys, p3_path,
+                                                                      tmp_path):
+    # solve reports once carried regime.trivial_subspace; verify reads
+    # only regime.subspace_index, so such a report still verifies
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "solve", str(p3_path), "--alpha", "1", "--beta", "-1",
+                         "--json", str(report_path))
+    assert code == 0
+    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    assert set(doc["regime"]) == {"tag", "subspace_index"}
+    doc["regime"]["trivial_subspace"] = False
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(report_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k"] == 1
+    assert doc["all_passed"] is True
+
+
 def test_verify_claimed_multipliers_checked(capsys, k2_path, tmp_path):
     report_path = tmp_path / "report.json"
     run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", "8",

@@ -356,6 +356,19 @@ def test_construction_accepts_numpy_integers_and_integer_weights():
     assert not (ei.flags.writeable or ej.flags.writeable or ew.flags.writeable)
 
 
+def test_construction_takes_numpy_edge_arrays():
+    # an empty (0, 3) array is an edgeless graph, not an ambiguous truth value
+    g = Graph(("a", "b"), np.ones(2), np.ones(2), np.empty((0, 3)))
+    assert g.edges == ()
+    assert all(arr.size == 0 for arr in g.edge_arrays)
+    # a float (m, 3) array reaches the constructor's own endpoint check
+    with pytest.raises(ValueError, match="edge endpoints must be integers, got float64"):
+        Graph(("a", "b"), np.ones(2), np.ones(2), np.array([[0.0, 1.0, 2.0]]))
+    # lists of triples behave as before
+    assert Graph(("a", "b"), np.ones(2), np.ones(2), []).edges == ()
+    assert Graph(("a", "b"), np.ones(2), np.ones(2), [(0, 1, 2.0)]).edges == ((0, 1, 2.0),)
+
+
 def test_graph_attributes_cannot_be_set(k2):
     with pytest.raises(AttributeError):
         k2.mu = np.ones(2)

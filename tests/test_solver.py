@@ -50,7 +50,6 @@ def test_classify_below_gap(p3, p3_spec):
     r = classify_regime(p3_spec, 0.5, 7.0, 0)
     assert r.tag is RegimeTag.MINIMIZER_IN_EK_PERP
     assert r.subspace_index == 0
-    assert not r.trivial_subspace
 
 
 def test_classify_at_gap_three_ways(p3, p3_spec):
@@ -60,7 +59,6 @@ def test_classify_at_gap_three_ways(p3, p3_spec):
     rneg = classify_regime(p3_spec, 1.0, -2.0, 0)
     assert rneg.tag is RegimeTag.MINIMIZER_IN_NEXT_PERP
     assert rneg.subspace_index == 1
-    assert not rneg.trivial_subspace
     rpos = classify_regime(p3_spec, 1.0, 0.5, 0)
     assert rpos.tag is RegimeTag.UNBOUNDED_BELOW
 
@@ -77,7 +75,6 @@ def test_classify_trivial_next_perp(k2, k2_spec):
     r = classify_regime(k2_spec, 2.0, -1.0, 0)
     assert r.tag is RegimeTag.MINIMIZER_IN_NEXT_PERP
     assert r.subspace_index == 1
-    assert r.trivial_subspace
 
 
 def test_classify_eq_tol_boundary(p3, p3_spec):
@@ -318,7 +315,7 @@ def test_eigenfunction_report_uses_matched_eigenvalue():
 
 def test_trivial_next_perp_returns_zero(k2, k2_spec):
     report = minimize(k2, k2_spec, 2.0, -1.0)
-    assert report.regime.trivial_subspace
+    assert report.regime.subspace_index == k2_spec.num_distinct - 1
     assert report.status is SolveStatus.CONVERGED
     assert np.array_equal(report.minimizer, np.zeros(2))
     assert np.isclose(report.objective, np.log(2.0), rtol=1e-14)
@@ -461,6 +458,16 @@ def test_saddle_with_no_acceptable_step_is_not_converged(k2, k2_spec):
     assert np.array_equal(report.minimizer, np.zeros(2))
 
 
+def test_levenberg_direction_doubles_its_damping_until_cholesky_succeeds():
+    # H + delta I is positive definite first at delta = 1e-8 * 2^27 > 1
+    delta = 1e-8 * 2.0 ** 27
+    direction = solver._levenberg_direction(np.diag([-1.0, 1.0]), np.array([1.0, 1.0]))
+    assert np.allclose(direction, [-1.0 / (delta - 1.0), -1.0 / (delta + 1.0)], rtol=1e-12)
+    # a positive definite Hessian gets the undamped Newton direction
+    assert np.allclose(solver._levenberg_direction(np.diag([2.0, 4.0]), np.ones(2)),
+                       [-0.5, -0.25], rtol=1e-15, atol=0.0)
+
+
 def _benchmark_eigenvalues(g):
     """Eigenvalues of -Delta as the benchmark computes them, apart from
     kwgraph.spectral: a dense M^-1/2 L M^-1/2 and eigvalsh."""
@@ -472,6 +479,46 @@ def _benchmark_eigenvalues(g):
     lap = np.diag(weights.sum(axis=1)) - weights
     s = 1.0 / np.sqrt(g.mu)
     return np.linalg.eigvalsh(lap * np.outer(s, s))
+
+
+@pytest.mark.parametrize("j, alpha_of_l1, beta, polished", [
+    (6, lambda l1: 0.5 * l1, 5.0, False),
+    (1, lambda l1: l1 - 1e-8, 1.0, True),
+], ids=["n10/g6/below-gap-beta+5", "n10/g1/near-resonance"])
+def test_every_accepted_step_passes_its_own_acceptance_test(j, alpha_of_l1, beta, polished):
+    """Recomputed from scratch at each accepted step c -> c + s d: an
+    Armijo step (80 trials) decreases J by at least 1e-4 s (grad J . d),
+    and a polish step (30 trials) cuts the gradient's sup norm below 0.9
+    of its value at c."""
+    g = random_connected_graph(np.random.default_rng([20230818, 10, j]), 10,
+                               extra_edge_prob=0.1)
+    spec = compute_spectrum(g)
+    alpha = alpha_of_l1(float(_benchmark_eigenvalues(g)[1]))
+    steps = []
+    real_backtrack = solver._backtrack
+
+    def recording(basis, c, direction, tries, accept):
+        step = real_backtrack(basis, c, direction, tries, accept)
+        if step is not None:
+            steps.append((basis, c, direction, tries, step[0], step[2]))
+        return step
+    with mock.patch.object(solver, "_backtrack", recording):
+        report = minimize(g, spec, alpha, beta)
+    assert len(steps) == report.iterations
+    kinds = {80: 0, 30: 0}
+    for basis, c, direction, tries, c_new, J_new in steps:
+        u = c @ basis
+        gc = _coord_gradient(g, basis, u, alpha, beta)
+        s = next(0.5 ** e for e in range(tries)
+                 if np.array_equal(c + 0.5 ** e * direction, c_new))
+        kinds[tries] += 1
+        if tries == 80:
+            assert J_new <= eval_J(g, u, alpha, beta) + 1e-4 * s * float(gc @ direction)
+        else:
+            grad_new = _coord_gradient(g, basis, c_new @ basis, alpha, beta) @ basis
+            assert np.max(np.abs(grad_new)) < 0.9 * np.max(np.abs(gc @ basis))
+    assert kinds[80] > 0
+    assert (kinds[30] > 0) is polished
 
 
 @pytest.mark.parametrize("n, j, iterations, objective", [

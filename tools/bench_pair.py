@@ -18,8 +18,12 @@ total: non-blank lines that are neither comments nor docstrings),
 ``work`` and ``work_identical``, every run's end-to-end metrics with
 ``failed``/``attempted``, and per workload each side's median and
 quartiles, the number of pairs the working tree won, each side's pooled
-``failed``/``attempted``, and the seeds whose failed share differs
-between the sides (also printed to stderr when there are any).
+``failed``/``attempted`` and their ``share``, and the seeds whose failed
+share differs between the sides (also printed to stderr when there are
+any). When the pooled shares differ although every seed's share is
+equal, it prints that the gap comes from pass counts alone: runs end
+after whole passes, so the pooled share weighs each seed by the number
+of passes its side ran.
 """
 
 from __future__ import annotations
@@ -157,6 +161,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out["pairs"] = len(runs)
     out["failed"] = {side: {key: sum(r[side][key] for r in runs)
                             for key in ("failed", "attempted")} for side in SIDES}
+    for pooled in out["failed"].values():
+        pooled["share"] = pooled["failed"] / pooled["attempted"] if pooled["attempted"] else 0.0
     # runs end after whole passes, so compare shares, not counts
     out["failed_share_differs"] = [
         r["seed"] for r in runs
@@ -212,9 +218,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} seed {seed} done", file=sys.stderr)
     for workload in workloads:
         summary = summarize(runs[workload], better)
+        shares = {side: summary["failed"][side]["share"] for side in SIDES}
         if summary["failed_share_differs"]:
             print(f"{workload}: failed share differs on seeds "
                   f"{summary['failed_share_differs']}", file=sys.stderr)
+        elif shares["parent"] != shares["change"]:
+            print(f"{workload}: pooled failed share {shares['parent']:.6f} (parent) against "
+                  f"{shares['change']:.6f} (change), with the same share on every seed: "
+                  "the gap comes from pass counts alone", file=sys.stderr)
         doc["workloads"][workload] = {"summary": summary, "runs": runs[workload]}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -102,6 +102,14 @@ MUTANTS = (
                       "whether they are certified"),
     Mutant("solver.py", "_GRAD_TOL = 1e-10", "_GRAD_TOL = 1e-6",
            "a solve reports Converged with a gradient that verify rejects"),
+    Mutant("solver.py", "if len(trace) > _MAX_ITERS:", "if len(trace) >= _MAX_ITERS:",
+           "the loop stops one accepted step short of _MAX_ITERS"),
+    Mutant("solver.py", "delta = 1e-8 if delta == 0.0 else 2.0 * delta", "delta = 1e-8",
+           "the Levenberg damping never grows past 1e-8"),
+    # cli: the one error path
+    Mutant("cli.py", "except (CliInputError, ValueError) as exc:",
+           "except CliInputError as exc:",
+           "main lets a ValueError (bad graph, bounded-regime probe) escape as a traceback"),
     # functional: the objective and the analytic bounds
     Mutant("functional.py", "    return quad - beta * log_integral_h_exp(g, u)",
            "    return quad + beta * log_integral_h_exp(g, u)",
