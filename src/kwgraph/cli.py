@@ -73,19 +73,19 @@ def _build_parser() -> _Parser:
                     help="emit the full spectrum (with bases) as JSON")
     sp.set_defaults(func=cmd_spectrum)
 
-    so = sub.add_parser("solve", help="minimize J_(alpha,beta) on E_k^perp")
-    so.add_argument("graph")
-    so.add_argument("--alpha", type=float, required=True)
-    so.add_argument("--beta", type=float, required=True)
-    so.add_argument("--k", type=int, default=0, help="subspace index (default 0)")
+    # the problem that solve and probe both take
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("graph")
+    problem.add_argument("--alpha", type=float, required=True)
+    problem.add_argument("--beta", type=float, required=True)
+    problem.add_argument("--k", type=int, default=0, help="subspace index (default 0)")
+
+    so = sub.add_parser("solve", parents=[problem], help="minimize J_(alpha,beta) on E_k^perp")
     so.add_argument("--json", metavar="PATH", help="also write the report here")
     so.set_defaults(func=cmd_solve)
 
-    pr = sub.add_parser("probe", help="certify unboundedness along an eigen-ray")
-    pr.add_argument("graph")
-    pr.add_argument("--alpha", type=float, required=True)
-    pr.add_argument("--beta", type=float, required=True)
-    pr.add_argument("--k", type=int, default=0)
+    pr = sub.add_parser("probe", parents=[problem],
+                        help="certify unboundedness along an eigen-ray")
     pr.set_defaults(func=cmd_probe)
 
     ve = sub.add_parser("verify", help="re-certify a solution document")
@@ -225,15 +225,11 @@ def _claimed_t(doc: dict):
         raise CliInputError(f"'t_multipliers' must be a list, got {raw!r}")
     out = []
     for entry in raw:
-        try:
-            if isinstance(entry, dict):
-                s, i, value = entry["s"], entry["i"], entry["value"]
-            else:
-                s, i, value = entry
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"malformed t_multipliers entry {entry!r}") from exc
         context = f"t_multipliers entry {entry!r}"
-        out.append((_as_index(s, context), _as_index(i, context), _as_number(value, context)))
+        if not isinstance(entry, dict) or not {"s", "i", "value"} <= entry.keys():
+            raise CliInputError(f"{context} must be an object with keys s, i and value")
+        out.append((_as_index(entry["s"], context), _as_index(entry["i"], context),
+                    _as_number(entry["value"], context)))
     return tuple(out)
 
 
@@ -262,10 +258,11 @@ def cmd_verify(args) -> int:
     u_doc = doc["u"]
     if not isinstance(u_doc, dict) or set(u_doc) != set(graph.vertex_ids):
         raise CliInputError("'u' must map every vertex id to a value, exactly once")
-    regime = doc.get("regime")
-    raw_k = doc.get("k", 0)
-    if isinstance(regime, dict):
-        raw_k = regime.get("subspace_index", raw_k)
+    # a null regime is absent, as a null xi or t_multipliers is
+    regime = {} if doc.get("regime") is None else doc["regime"]
+    if not isinstance(regime, dict):
+        raise CliInputError(f"'regime' must be an object, got {regime!r}")
+    raw_k = regime.get("subspace_index", doc.get("k", 0))
     u = np.array([_as_number(u_doc[vid], f"u[{vid!r}]") for vid in graph.vertex_ids])
     alpha = _as_number(doc["alpha"], "'alpha'")
     beta = _as_number(doc["beta"], "'beta'")

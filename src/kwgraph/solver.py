@@ -381,23 +381,8 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                 break
         if len(trace) > _MAX_ITERS:
             break
-        if stalled and not stationary:
-            # J sits at its floating-point floor while the gradient is
-            # still above _GRAD_TOL, which no J-based test can see; cut
-            # the gradient itself with damped Newton steps
-            direction = _levenberg_direction(_coord_hessian(g, u, beta, basis, shift), gc)
-            if direction is None:
-                break
-
-            def accept(v, s):
-                gv = _coord_gradient(g, basis, v, alpha, beta)
-                if float(np.max(np.abs(gv @ basis))) < 0.9 * grad_sup:
-                    return eval_J(g, v, alpha, beta)
-                return None
-            step = _backtrack(basis, c, direction, 30, accept)
-            if step is None:
-                break
-        else:
+        step = None
+        if stationary or not stalled:
             direction = None
             if stationary:
                 # a saddle: descend along the most negative curvature
@@ -415,12 +400,26 @@ def minimize(g: Graph, spectrum: Spectrum, alpha: float, beta: float, k: int = 0
                     return J_new
                 return None
             step = _backtrack(basis, c, direction, 80, accept)
-            if step is None and stalled:
+            stalled = step is None or step[2] == J
+        if step is None:
+            # J sits at its floating-point floor while the gradient is
+            # still above _GRAD_TOL, which no J-based test can see; cut
+            # the gradient itself with damped Newton steps. A saddle
+            # that the search could not leave gets no direction.
+            direction = None if stationary else _levenberg_direction(
+                _coord_hessian(g, u, beta, basis, shift), gc)
+            if direction is None:
+                break
+
+            def accept(v, s):
+                gv = _coord_gradient(g, basis, v, alpha, beta)
+                if float(np.max(np.abs(gv @ basis))) < 0.9 * grad_sup:
+                    return eval_J(g, v, alpha, beta)
+                return None
+            step = _backtrack(basis, c, direction, 30, accept)
+            if step is None:
                 # no step is left that J or the gradient accepts
                 break
-            stalled = step is None or step[2] == J
-            if step is None:
-                continue
         c, u, J = step
         trace.append(J)
 

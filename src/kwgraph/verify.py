@@ -62,16 +62,17 @@ def kw_residual(g: Graph, spectrum: Spectrum, u, alpha: float, beta: float,
 
         Delta u + alpha u + beta h e^u / integral(h e^u) - xi - sum t_si u_si
 
-    with the multipliers recomputed from their closed forms. For an
-    exact constrained critical point this vanishes identically; by
+    with the multipliers of :func:`multipliers` (xi = beta / Vol(V),
+    t = beta E_k p) read off the same weights p = :func:`heu_weights`,
+    p_x = mu(x) h(x) e^u(x) / integral(h e^u). For an exact constrained critical point this vanishes identically; by
     construction it always lies in E_k^perp, so it equals minus the
     projected gradient up to rounding.
     """
     u = as_vertex_function(g, u)
-    xi, t = multipliers(g, spectrum, u, beta, k)
-    density = heu_weights(g, u) / g.mu
-    r = laplacian(g, u) + alpha * u + beta * density - xi
-    return r - np.array([value for _, _, value in t]) @ spectrum.split(k)[0]
+    p = heu_weights(g, u)
+    ek = spectrum.split(k)[0]
+    return (laplacian(g, u) + alpha * u + beta * (p / g.mu) - beta / g.volume
+            - (beta * (ek @ p)) @ ek)
 
 
 def _group_norms(t: dict[tuple[int, int], float]) -> dict[int, float]:

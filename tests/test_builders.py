@@ -61,6 +61,12 @@ def test_benchmark_pool_graph_matches_pair_loop():
     assert_same_stream([20230818, 640, 0], 640, extra_edge_prob=8 / 639)
 
 
+@pytest.mark.parametrize("build", [builders.path_graph, builders.complete_graph])
+def test_fixed_builders_need_a_vertex(build):
+    with pytest.raises(ValueError, match="at least one vertex"):
+        build(0)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"extra_edge_prob": math.nan},
     {"extra_edge_prob": -1.0},

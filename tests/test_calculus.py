@@ -142,6 +142,16 @@ def test_norm_one_alpha_rejects_negative_radicand(k2):
         norm_one_alpha(k2, [1.0, 1.0], 1.0, 2.0)
 
 
+def test_norm_one_alpha_clamps_a_rounding_level_radicand(p3, p3_spec):
+    # alpha a relative 1e-14 above lambda_1 = 1 leaves a radicand of
+    # about -1e-14 for u = u_1: rounding, not a domain error
+    lam1 = p3_spec.eigenvalue(1)
+    u1 = p3_spec.bases[1][0]
+    alpha = lam1 * (1 + 1e-14)
+    assert dirichlet_energy(p3, u1) - alpha * integrate(p3, u1 * u1) < 0.0
+    assert norm_one_alpha(p3, u1, alpha, 2.0 * lam1) == 0.0
+
+
 def test_sup_norm_bound():
     # max|u| <= mu_min^{-1/2} ||u||_{L2(mu)} for mean-zero u
     rng = np.random.default_rng(14)

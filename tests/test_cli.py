@@ -322,6 +322,35 @@ def test_verify_missing_field(capsys, k2_path, tmp_path):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read solution"),
+    ("{not json", "solution is not valid JSON"),
+    ("[1, 2]", "solution document must be a JSON object"),
+], ids=["missing-file", "not-json", "not-an-object"])
+def test_verify_unreadable_solution_exit_1(capsys, tmp_path, text, message):
+    path = tmp_path / "solution.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_verify_graph_path_falls_back_to_the_working_directory(capsys, tmp_path,
+                                                               monkeypatch):
+    # "k2.json" is not next to the solution, so it is read from the CWD
+    (tmp_path / "k2.json").write_text(K2_DOC, encoding="utf-8")
+    (tmp_path / "reports").mkdir()
+    path = tmp_path / "reports" / "candidate.json"
+    doc = {"graph": "k2.json", "alpha": 0.0, "beta": 5.0, "u": {"a": 0.0, "b": 0.0}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_verify_probe_document_names_its_kind(capsys, k2_path, tmp_path):
     # a probe document has no 'u': verify rejects it as an input error
     # and says what it was given and what it reads
@@ -342,7 +371,7 @@ def test_verify_probe_document_names_its_kind(capsys, k2_path, tmp_path):
     {"k": 1e400},
     {"xi": [1.0]},
     {"t_multipliers": 5},
-    {"t_multipliers": [[1e400, 0, 1.0]]},
+    {"t_multipliers": [{"s": 1e400, "i": 0, "value": 1.0}]},
     # values that int() or float() would coerce into a valid candidate
     {"k": 0.5},
     {"k": False},
@@ -355,9 +384,16 @@ def test_verify_probe_document_names_its_kind(capsys, k2_path, tmp_path):
     {"xi": 10 ** 400},
     {"u": {"a": "0", "b": 0.0}},
     {"u": {"a": False, "b": 0.0}},
-    {"t_multipliers": [[0.5, 0, 1.0]]},
+    {"t_multipliers": [{"s": 0.5, "i": 0, "value": 1.0}]},
     {"t_multipliers": [{"s": True, "i": 0, "value": 1.0}]},
-    {"t_multipliers": [[0, 0, "1.0"]]},
+    {"t_multipliers": [{"s": 0, "i": 0, "value": "1.0"}]},
+    # solve writes t_multipliers as {s, i, value} objects and nothing else
+    {"t_multipliers": [[1, 1, 0.0]]},
+    {"t_multipliers": [{"s": 1, "i": 1}]},
+    # a regime that is not an object is not read as absent
+    {"regime": 5},
+    {"regime": "x"},
+    {"regime": [1]},
 ])
 def test_verify_malformed_field_is_input_error(capsys, k2_path, tmp_path, extra):
     doc = {"graph": str(k2_path), "alpha": 0.0, "beta": 5.0,
@@ -430,7 +466,7 @@ def test_verify_non_finite_check_value_is_null(capsys, k2_path, tmp_path):
     run_cli(capsys, "solve", str(k2_path), "--alpha", "0", "--beta", "8",
             "--json", str(report_path))
     doc = json.loads(report_path.read_text(encoding="utf-8"))
-    doc["t_multipliers"] = [[1, 1, 0.0]]
+    doc["t_multipliers"] = [{"s": 1, "i": 1, "value": 0.0}]
     report_path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "verify", str(report_path))
     assert code == 5

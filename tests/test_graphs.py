@@ -144,6 +144,19 @@ def test_validate_reports_value_violations_on_direct_construction():
 def test_construction_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         Graph(("a", "b"), np.array([1.0]), np.array([1.0, 1.0]), ())
+    with pytest.raises(ValueError, match="h has shape"):
+        Graph(("a", "b"), np.ones(2), np.ones(3), ())
+
+
+def test_empty_graph_is_disconnected():
+    assert validate(Graph((), [], [], [])) == ["disconnected"]
+
+
+def test_graph_equality_and_repr(k2):
+    assert k2 == Graph(("a", "b"), [1.0, 1.0], [1.0, 1.0], [(0, 1, 1.0)])
+    # NotImplemented for a non-Graph falls back to identity
+    assert k2 != object()
+    assert repr(k2) == "Graph(2 vertices, 1 edges, volume=2)"
 
 
 def test_construction_rejects_edge_out_of_range():

@@ -458,6 +458,28 @@ def test_saddle_with_no_acceptable_step_is_not_converged(k2, k2_spec):
     assert np.array_equal(report.minimizer, np.zeros(2))
 
 
+def test_saddle_reached_after_a_stalled_step_is_still_left(k2, k2_spec):
+    # u = 0 is a saddle at beta = 8 on K2 with h = 1. A first accepted
+    # step that leaves J unchanged (here the null step) marks the loop
+    # stalled; at a saddle the loop must still search along the most
+    # negative curvature instead of ending in the gradient polish
+    real_backtrack = solver._backtrack
+    calls = []
+
+    def null_step_first(basis, c, direction, tries, accept):
+        calls.append(tries)
+        if len(calls) == 1:
+            u = c @ basis
+            return c, u, solver.eval_J(k2, u, 0.0, 8.0)
+        return real_backtrack(basis, c, direction, tries, accept)
+    with mock.patch.object(solver, "_backtrack", null_step_first):
+        report = minimize(k2, k2_spec, 0.0, 8.0)
+    assert calls[:2] == [80, 80]
+    assert report.trace[1] == report.trace[0]
+    assert report.status is SolveStatus.CONVERGED
+    assert report.objective < report.trace[0]
+
+
 def test_levenberg_direction_doubles_its_damping_until_cholesky_succeeds():
     # H + delta I is positive definite first at delta = 1e-8 * 2^27 > 1
     delta = 1e-8 * 2.0 ** 27
@@ -466,6 +488,11 @@ def test_levenberg_direction_doubles_its_damping_until_cholesky_succeeds():
     # a positive definite Hessian gets the undamped Newton direction
     assert np.allclose(solver._levenberg_direction(np.diag([2.0, 4.0]), np.ones(2)),
                        [-0.5, -0.25], rtol=1e-15, atol=0.0)
+
+
+def test_levenberg_direction_gives_none_for_a_nan_hessian():
+    # no damping makes the direction finite, so the loop ends there
+    assert solver._levenberg_direction(np.full((2, 2), np.nan), np.ones(2)) is None
 
 
 def _benchmark_eigenvalues(g):

@@ -144,6 +144,12 @@ def test_poincare_requires_gap():
         poincare_constant(spec)
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_eigenvalue_index_out_of_range(p3_spec, k):
+    with pytest.raises(IndexError, match="out of range 0..2"):
+        p3_spec.eigenvalue(k)
+
+
 def test_rayleigh_bounds():
     rng = np.random.default_rng(25)
     for _ in range(10):

@@ -8,7 +8,9 @@ exactly once in that module, or the tool stops before running anything.
 The tool copies ``src``, ``tests``, ``demos``, ``README.md`` and
 ``pyproject.toml`` into a temporary directory, checks that tier-1
 passes there unmutated, and then, for one mutant at a time, edits the
-copy and runs tier-1 with ``-x`` on it. A mutant is ``killed`` by the
+copy and runs tier-1 with ``-x`` on it. Tier-1 there leaves out
+``tests/test_mutants.py``, which checks this list against the unmutated
+sources and so would fail on every mutant. A mutant is ``killed`` by the
 first test that fails (or by ``timeout``), ``survived`` when tier-1
 passes, or ``equivalent`` when the list marks it so, with the reason;
 an equivalent mutant still runs, and its ``killed_by`` is kept.
@@ -72,6 +74,8 @@ MUTANTS = (
            "residual_mean_zero is never checked"),
     Mutant("verify.py", "beta / g.volume, tuple(", "beta * g.volume, tuple(",
            "the closed-form xi multiplies by Vol instead of dividing"),
+    Mutant("verify.py", "- beta / g.volume", "+ beta / g.volume",
+           "the residual adds xi instead of subtracting it"),
     # solver: the probe, the regime and the descent
     Mutant("solver.py", "noise <= -1e-3 * DIVERGENCE_DEPTH",
            "noise <= -1e-1 * DIVERGENCE_DEPTH",
@@ -106,10 +110,16 @@ MUTANTS = (
            "the loop stops one accepted step short of _MAX_ITERS"),
     Mutant("solver.py", "delta = 1e-8 if delta == 0.0 else 2.0 * delta", "delta = 1e-8",
            "the Levenberg damping never grows past 1e-8"),
+    Mutant("solver.py", "if stationary or not stalled:", "if not stalled:",
+           "a saddle reached after a stalled step ends in the polish instead of "
+           "being left along its negative curvature"),
     # cli: the one error path
     Mutant("cli.py", "except (CliInputError, ValueError) as exc:",
            "except CliInputError as exc:",
            "main lets a ValueError (bad graph, bounded-regime probe) escape as a traceback"),
+    Mutant("cli.py", '{"s", "i", "value"} <= entry.keys()', '{"s", "i"} <= entry.keys()',
+           "verify reads a t_multipliers object without a value and fails with a KeyError "
+           "traceback"),
     # functional: the objective and the analytic bounds
     Mutant("functional.py", "    return quad - beta * log_integral_h_exp(g, u)",
            "    return quad + beta * log_integral_h_exp(g, u)",
@@ -144,8 +154,10 @@ def _apply(source: str, mutant: Mutant) -> str:
 def _tier1(copy: Path) -> tuple[bool, str | None]:
     """(passed, first failing test id) of tier-1 with -x in ``copy``."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # test_mutants.py checks this list against the unmutated sources; it
+    # would kill every mutant itself
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors"]
+           "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
     try:
         proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)

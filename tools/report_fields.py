@@ -1,15 +1,17 @@
-"""Compare every SolveReport field of the benchmark's solve answers,
-parent commit against the working tree.
+"""Compare every report field of the benchmark's solve and probe
+answers, parent commit against the working tree.
 
     python3 tools/report_fields.py PARENT_REV
 
 On each side (PARENT_REV exported with ``git archive``, and the working
-tree) it answers every solve-ladder pool question and every
-spectral-large eigenfunction question as the benchmark does, with one
-BLAS thread, and records each report field and verify check. It prints,
-per group, how many reports are identical in every field, and for each
-field that differs, on how many reports and by how much at most
-(relative to the parent's value). Exits 1 when a report differs.
+tree) it answers every solve-ladder pool question, every spectral-large
+eigenfunction question and every spectral-large probe question as the
+benchmark does, with one BLAS thread. It records each SolveReport field
+and verify check, and each ProbeReport's verdict, direction and
+samples. It prints, per group (solve-ladder, eigenfunction, probe), how
+many reports are identical in every field, and for each field that
+differs, on how many reports and by how much at most (relative to the
+parent's value). Exits 1 when a report differs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from pathlib import Path
 
 from bench_pair import ROOT, export, git, run_script
 
-# run in each checkout: prints {question key: {field: value}} as JSON,
-# whose floats round-trip exactly
+# run in each checkout: prints {group: {question key: {field: value}}}
+# as JSON, whose floats round-trip exactly
 DUMP = """
 import json, sys
 sys.path.insert(0, "perfbench")
@@ -41,14 +43,27 @@ def fields(report, checks):
             "alpha": report.alpha, "beta": report.beta, "trace": report.trace,
             "checks": [[c.name, c.passed, c.value, c.limit] for c in checks]}
 
-out, texts = {}, {}
-questions = [wl.solve_question(n, j, regime, texts) for n, size in wl.SOLVE_SIZES.items()
-             for j in range(size) for regime in wl.SOLVE_REGIMES]
-questions += [q for n, size in wl.SPECTRAL_POOL.items() for j in range(size)
-              for q in wl.spectral_questions(n, j, texts) if q["group"] == "eigenfunction"]
-for q in questions:
-    g, report, checks = wl.answer_solve(q, texts[q["graph"]])
-    out[q["key"]] = fields(report, checks)
+def probe_fields(q, text):
+    g = kw.parse_graph(text)
+    sp = kw.compute_spectrum(g)
+    probe = kw.probe_divergence(g, sp, q["alpha"], q["beta"], q["k"])
+    return {"verdict": probe.verdict.value, "direction": probe.direction.tolist(),
+            "samples": probe.samples}
+
+out, texts = {"solve-ladder": {}, "eigenfunction": {}, "probe": {}}, {}
+for n, size in wl.SOLVE_SIZES.items():
+    for j in range(size):
+        for regime in wl.SOLVE_REGIMES:
+            q = wl.solve_question(n, j, regime, texts)
+            out["solve-ladder"][q["key"]] = fields(*wl.answer_solve(q, texts[q["graph"]])[1:])
+for n, size in wl.SPECTRAL_POOL.items():
+    for j in range(size):
+        for q in wl.spectral_questions(n, j, texts):
+            if q["group"] == "eigenfunction":
+                out["eigenfunction"][q["key"]] = fields(
+                    *wl.answer_solve(q, texts[q["graph"]])[1:])
+            elif q["group"].startswith("probe"):
+                out["probe"][q["key"]] = probe_fields(q, texts[q["graph"]])
 json.dump(out, sys.stdout)
 """
 
@@ -74,19 +89,19 @@ def main(argv: list[str] | None = None) -> int:
         export(git("rev-parse", args.parent_rev), parent_root)
         parent, change = (json.loads(run_script(root, "-c", DUMP))
                           for root in (parent_root, ROOT))
-    if parent.keys() != change.keys():
-        sys.exit("error: the two sides answer different questions")
     differs = False
-    for group in ("solve-ladder", "eigenfunction"):
-        keys = [k for k in parent if (k.endswith("/eigenfunction")) == (group == "eigenfunction")]
-        same = sum(parent[k] == change[k] for k in keys)
-        print(f"{group}: {same} of {len(keys)} reports identical in every field")
-        for field in parent[keys[0]]:
-            moved = [largest_relative(parent[k][field], change[k][field]) for k in keys
-                     if parent[k][field] != change[k][field]]
+    for group, before in parent.items():
+        after = change[group]
+        if before.keys() != after.keys():
+            sys.exit(f"error: the two sides answer different {group} questions")
+        same = sum(before[k] == after[k] for k in before)
+        print(f"{group}: {same} of {len(before)} reports identical in every field")
+        for field in next(iter(before.values())):
+            moved = [largest_relative(before[k][field], after[k][field]) for k in before
+                     if before[k][field] != after[k][field]]
             if moved:
                 print(f"  {field}: differs on {len(moved)}, largest relative {max(moved):.3g}")
-        differs = differs or same < len(keys)
+        differs = differs or same < len(before)
     return 1 if differs else 0
 
 
