@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, _as_number, parse_graph, validate
+from .graphs import Graph, _as_number, _json_object, parse_graph, validate
 from .solver import (
     ProbeVerdict,
     SolveStatus,
@@ -31,7 +31,7 @@ from .solver import (
     minimize,
     probe_divergence,
 )
-from .spectral import compute_spectrum, poincare_constant, spectrum_to_dict
+from .spectral import Spectrum, compute_spectrum, poincare_constant, spectrum_to_dict
 from .verify import verify_candidate
 
 __all__ = ["main"]
@@ -96,16 +96,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(path: str | Path) -> Graph:
+def _read(path: str | Path, what: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliInputError(f"cannot read graph '{path}': {exc}") from exc
-    graph = parse_graph(text)
+        raise CliInputError(f"cannot read {what} '{path}': {exc}") from exc
+
+
+def _load_graph(path: str | Path) -> tuple[Graph, Spectrum]:
+    graph = parse_graph(_read(path, "graph"))
     violations = validate(graph)
     if violations:
         raise CliInputError(f"graph '{path}' failed validation: " + "; ".join(violations))
-    return graph
+    return graph, compute_spectrum(graph)
 
 
 def _emit(doc: dict, copy_path: str | None = None) -> None:
@@ -121,8 +124,7 @@ def _emit(doc: dict, copy_path: str | None = None) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    graph = _load_graph(args.graph)
-    spectrum = compute_spectrum(graph)
+    graph, spectrum = _load_graph(args.graph)
     has_gap = spectrum.num_distinct >= 2
     if args.json:
         doc = spectrum_to_dict(spectrum)
@@ -162,8 +164,7 @@ def _report_doc(graph_arg: str, graph: Graph, report, requested_k: int) -> dict:
 
 
 def cmd_solve(args) -> int:
-    graph = _load_graph(args.graph)
-    spectrum = compute_spectrum(graph)
+    graph, spectrum = _load_graph(args.graph)
     try:
         report = minimize(graph, spectrum, args.alpha, args.beta, args.k)
     except UnboundedRegimeError as exc:
@@ -180,8 +181,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    graph = _load_graph(args.graph)
-    spectrum = compute_spectrum(graph)
+    graph, spectrum = _load_graph(args.graph)
     report = probe_divergence(graph, spectrum, args.alpha, args.beta, args.k)
     doc = {
         "graph": args.graph,
@@ -201,8 +201,7 @@ def cmd_probe(args) -> int:
 
 def _resolve_graph_path(raw: str, solution_dir: Path) -> Path:
     path = Path(raw)
-    if path.is_absolute():
-        return path
+    # an absolute path is itself: solution_dir / path == path
     local = solution_dir / path
     if local.exists():
         return local
@@ -239,22 +238,15 @@ def _finite_or_null(x: float) -> float | None:
 
 
 def cmd_verify(args) -> int:
-    solution_path = Path(args.solution)
-    try:
-        doc = json.loads(solution_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliInputError(f"cannot read solution '{args.solution}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"solution is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliInputError("solution document must be a JSON object")
+    doc = _json_object(_read(args.solution, "solution"), "solution is not valid JSON",
+                       "solution document must be a JSON object")
     kind = "probe document" if "verdict" in doc else "solution document"
     for fieldname in ("graph", "alpha", "beta", "u"):
         if fieldname not in doc:
             raise CliInputError(f"{kind} missing '{fieldname}': verify reads a solve "
                                 "report or a candidate with a 'u' map")
-    graph = _load_graph(_resolve_graph_path(str(doc["graph"]), solution_path.parent))
-    spectrum = compute_spectrum(graph)
+    graph, spectrum = _load_graph(_resolve_graph_path(str(doc["graph"]),
+                                                      Path(args.solution).parent))
     u_doc = doc["u"]
     if not isinstance(u_doc, dict) or set(u_doc) != set(graph.vertex_ids):
         raise CliInputError("'u' must map every vertex id to a value, exactly once")
@@ -262,11 +254,12 @@ def cmd_verify(args) -> int:
     regime = {} if doc.get("regime") is None else doc["regime"]
     if not isinstance(regime, dict):
         raise CliInputError(f"'regime' must be an object, got {regime!r}")
-    raw_k = regime.get("subspace_index", doc.get("k", 0))
     u = np.array([_as_number(u_doc[vid], f"u[{vid!r}]") for vid in graph.vertex_ids])
     alpha = _as_number(doc["alpha"], "'alpha'")
     beta = _as_number(doc["beta"], "'beta'")
-    k = _as_index(raw_k, "'k'")
+    # the regime names the subspace when present, but a malformed k is refused anyway
+    k = _as_index(doc.get("k", 0), "'k'")
+    k = _as_index(regime.get("subspace_index", k), "'k'")
     claimed_xi = None if doc.get("xi") is None else _as_number(doc["xi"], "'xi'")
     checks = verify_candidate(graph, spectrum, u, alpha, beta, k, args.tol,
                               claimed_xi=claimed_xi, claimed_t=_claimed_t(doc))

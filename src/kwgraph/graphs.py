@@ -169,6 +169,26 @@ def _is_finite_float(value: object) -> bool:
     return type(value) is float and math.isfinite(value)
 
 
+def _json_object(text: str, invalid: str = "not valid JSON",
+                 not_object: str = "top level must be a JSON object") -> dict:
+    """The JSON object ``text`` holds, or :class:`GraphFormatError`.
+
+    The one reader of every document kwgraph takes in. Whatever makes
+    the decoder refuse ``text`` raises, with ``invalid`` and the reason:
+    bad syntax, nesting past the recursion limit, or an integer literal
+    past ``sys.get_int_max_str_digits()``. A top level that is not an
+    object raises ``not_object``.
+    """
+    try:
+        doc = json.loads(text)
+    # JSONDecodeError and the integer-digit limit are both ValueErrors
+    except (RecursionError, ValueError) as exc:
+        raise GraphFormatError(f"{invalid}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GraphFormatError(not_object)
+    return doc
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a JSON graph document.
 
@@ -177,7 +197,10 @@ def parse_graph(text: str) -> Graph:
         {"vertices": [{"id": "a", "mu": 1.0, "h": 1.0}, ...],
          "edges":    [{"u": "a", "v": "b", "w": 1.0}, ...]}
 
-    Raises :class:`GraphFormatError` on malformed JSON, a wrong shape,
+    Raises :class:`GraphFormatError` on text that is not a JSON object:
+    bad syntax, nesting past the recursion limit, an integer literal past
+    the integer-digit limit (``sys.get_int_max_str_digits()``), or a top
+    level that is not an object. It raises the same on a wrong shape,
     missing fields, non-string, duplicate or unknown vertex ids, and
     numbers that are not numbers or not finite; these structure and type
     checks run first, record by record. Then it raises the first message
@@ -189,12 +212,7 @@ def parse_graph(text: str) -> Graph:
     # record's repr, so a message is built only once its check has
     # failed. A number that is not a plain finite float goes through
     # _as_number.
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError("top level must be a JSON object")
+    doc = _json_object(text)
     vertices = doc.get("vertices")
     if not (isinstance(vertices, list) and len(vertices) > 0):
         raise GraphFormatError("'vertices' must be a non-empty list")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -109,3 +112,21 @@ def log_uniform_graph(seed: int, n: int) -> Graph:
     weights = draw(len(tree.edges))
     edges = tuple((i, j, float(w)) for (i, j, _), w in zip(tree.edges, weights))
     return Graph(tree.vertex_ids, draw(n), draw(n), edges)
+
+
+# Documents that json.loads refuses for reasons other than syntax: nesting
+# far past the recursion limit, and an integer literal past the default
+# integer-digit limit of 4300 digits.
+DEEP_NESTING = "[" * 200_000
+HUGE_INTEGER = "9" * 5000
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int):
+    """Run the block under ``sys.set_int_max_str_digits(limit)``; 0 lifts it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

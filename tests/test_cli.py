@@ -13,7 +13,7 @@ import kwgraph
 from kwgraph import compute_spectrum, parse_graph, solver, spectrum_to_dict
 from kwgraph.cli import main
 
-from conftest import K2_DOC, P3_DOC
+from conftest import DEEP_NESTING, HUGE_INTEGER, K2_DOC, P3_DOC, int_digit_limit
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +394,9 @@ def test_verify_probe_document_names_its_kind(capsys, k2_path, tmp_path):
     {"regime": 5},
     {"regime": "x"},
     {"regime": [1]},
+    # k is read even when the regime names the subspace
+    {"regime": {"subspace_index": 0}, "k": 0.5},
+    {"regime": {"subspace_index": 0}, "k": "0"},
 ])
 def test_verify_malformed_field_is_input_error(capsys, k2_path, tmp_path, extra):
     doc = {"graph": str(k2_path), "alpha": 0.0, "beta": 5.0,
@@ -529,6 +532,38 @@ def test_non_finite_output_is_an_error_not_json(capsys, k2_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------- malformed documents
+
+
+@pytest.mark.parametrize("case, limit", [
+    ("deep-nesting", 4300),
+    ("oversized-integer", 4300),
+    ("oversized-integer", 0),
+], ids=["deep-nesting", "oversized-integer", "oversized-integer-no-digit-limit"])
+@pytest.mark.parametrize("command", ["spectrum", "solve", "probe", "verify"])
+def test_malformed_document_exits_1_with_one_error_line(capsys, tmp_path, k2_path,
+                                                        command, case, limit):
+    # the oversized integer is the graph's mu, or the solution's alpha;
+    # without the digit limit it overflows the float range in _as_number
+    if case == "deep-nesting":
+        text = DEEP_NESTING
+    elif command == "verify":
+        doc = json.dumps({"graph": str(k2_path), "alpha": 0.0, "beta": 5.0,
+                          "u": {"a": 0.0, "b": 0.0}})
+        text = doc.replace('"alpha": 0.0', f'"alpha": {HUGE_INTEGER}')
+    else:
+        text = K2_DOC.replace('"mu": 1.0', f'"mu": {HUGE_INTEGER}', 1)
+    path = tmp_path / "document.json"
+    path.write_text(text, encoding="utf-8")
+    problem = () if command in ("spectrum", "verify") else ("--alpha", "0", "--beta", "1")
+    with int_digit_limit(limit):
+        code, out, err = run_cli(capsys, command, str(path), *problem)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- imports

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwgraph import (
     Graph,
@@ -16,7 +18,14 @@ from kwgraph import (
     validate,
 )
 
-from conftest import K2_DOC, P3_DOC
+from conftest import (
+    DEEP_NESTING,
+    HUGE_INTEGER,
+    K2_DOC,
+    P3_DOC,
+    int_digit_limit,
+    log_uniform_graph,
+)
 
 
 def test_parse_k2_document():
@@ -120,6 +129,25 @@ def test_parse_rejects_integer_past_float_range():
     doc = K2_DOC.replace('"mu": 1.0, "h": 1.0},', f'"mu": {10 ** 400}, "h": 1.0}},', 1)
     with pytest.raises(GraphFormatError, match="mu at vertex 'a' must be finite"):
         parse_graph(doc)
+
+
+def test_parse_rejects_nesting_past_the_recursion_limit():
+    # json.loads raises RecursionError here, not JSONDecodeError
+    for text in (DEEP_NESTING, K2_DOC.replace('"mu": 1.0', f'"mu": {DEEP_NESTING}', 1)):
+        with pytest.raises(GraphFormatError, match="^not valid JSON: "):
+            parse_graph(text)
+
+
+@pytest.mark.parametrize("limit, message", [
+    (4300, "^not valid JSON: "),
+    (0, "^mu at vertex 'a' must be finite, got inf$"),
+], ids=["digit-limit", "no-digit-limit"])
+def test_parse_rejects_an_integer_past_the_digit_limit(limit, message):
+    # under the limit json.loads raises a plain ValueError; without it the
+    # integer reaches _as_number and overflows the float range
+    text = K2_DOC.replace('"mu": 1.0', f'"mu": {HUGE_INTEGER}', 1)
+    with int_digit_limit(limit), pytest.raises(GraphFormatError, match=message):
+        parse_graph(text)
 
 
 def test_validate_reports_disconnected():
@@ -431,3 +459,83 @@ def test_validate_matches_a_record_by_record_reference():
         g = Graph([f"v{x}" for x in range(n)], rng.choice(values, n, p=odds),
                   rng.choice(values, n, p=odds), edges)
         assert [f for f in validate(g) if f != "disconnected"] == _reference_faults(g)
+
+
+def _any_graph(seed: int, n: int, log_uniform: bool) -> Graph:
+    if log_uniform:
+        return log_uniform_graph(seed, n)
+    return random_connected_graph(np.random.default_rng(seed), n)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), log_uniform=st.booleans())
+def test_serialize_then_parse_gives_the_graph_and_the_bytes(seed, n, log_uniform):
+    g = _any_graph(seed, n, log_uniform)
+    text = serialize_graph(g)
+    back = parse_graph(text)
+    assert back == g
+    assert serialize_graph(back) == text
+
+
+# A field replaced by _LITERAL is written into the text as a raw literal
+# that json.dumps cannot produce.
+_LITERAL = "@literal@"
+_REQUIRED = {"vertices": ("id", "mu", "h"), "edges": ("u", "v", "w")}
+_NUMBER_FIELDS = {"vertices": ("mu", "h"), "edges": ("w",)}
+_NOT_NUMBERS = ("1.0", True, None, [1.0], {"w": 1.0})
+_NOT_STRINGS = (0, 1.5, False, None, ["a"], {"id": "a"})
+MUTATIONS = ("drop-key", "change-type", "non-finite", "nonpositive", "duplicate-id",
+             "unknown-endpoint", "deep-nesting", "oversized-integer")
+
+
+def _mutated(doc: dict, mutation: str, data) -> str:
+    """The text of ``doc`` with one field mutated as ``mutation`` names;
+    ``doc`` has at least two vertices and one edge."""
+    if mutation == "duplicate-id":
+        section = "vertices"
+    elif mutation == "unknown-endpoint":
+        section = "edges"
+    else:
+        section = data.draw(st.sampled_from(["vertices", "edges"]))
+    records = doc[section]
+    record = records[data.draw(st.integers(0, len(records) - 1))]
+    numbers = _NUMBER_FIELDS[section]
+    if mutation == "drop-key":
+        del record[data.draw(st.sampled_from(_REQUIRED[section]))]
+    elif mutation == "change-type":
+        field = data.draw(st.sampled_from(_REQUIRED[section]))
+        record[field] = data.draw(st.sampled_from(
+            _NOT_NUMBERS if field in numbers else _NOT_STRINGS))
+    elif mutation == "non-finite":
+        record[data.draw(st.sampled_from(numbers))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif mutation == "nonpositive":
+        record[data.draw(st.sampled_from(numbers))] = data.draw(
+            st.sampled_from([0.0, -0.0, -1e-300, -1.0, -5]))
+    elif mutation == "duplicate-id":
+        other = records[data.draw(st.integers(0, len(records) - 1).filter(
+            lambda i: records[i] is not record))]
+        record["id"] = other["id"]
+    elif mutation == "unknown-endpoint":
+        record[data.draw(st.sampled_from(["u", "v"]))] = "not-a-vertex"
+    else:
+        record[data.draw(st.sampled_from(_REQUIRED[section]))] = _LITERAL
+    if mutation == "deep-nesting":
+        literal = DEEP_NESTING + "]" * len(DEEP_NESTING)
+    else:
+        literal = HUGE_INTEGER
+    return json.dumps(doc).replace(json.dumps(_LITERAL), literal)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), log_uniform=st.booleans(),
+       mutation=st.sampled_from(MUTATIONS), digit_limit=st.sampled_from([4300, 0]),
+       data=st.data())
+def test_a_one_field_mutation_raises_graph_format_error(seed, n, log_uniform, mutation,
+                                                        digit_limit, data):
+    # pytest.raises lets any other exception through, so a mutation that
+    # escapes as a KeyError, TypeError or RecursionError fails here
+    doc = json.loads(serialize_graph(_any_graph(seed, n, log_uniform)))
+    text = _mutated(doc, mutation, data)
+    with int_digit_limit(digit_limit), pytest.raises(GraphFormatError):
+        parse_graph(text)

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kwgraph import (
     Graph,
+    SolveStatus,
     complete_graph,
     heu_weights,
     laplacian,
@@ -252,6 +255,30 @@ def test_verify_solution_rejects_corruption(k2, k2_spec):
     checks = verify_candidate(k2, k2_spec, u, report.alpha, report.beta,
                               report.regime.subspace_index, tol=1e-8)
     assert not all(c.passed for c in checks)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), k=st.sampled_from([0, 1]),
+       fraction=st.floats(-1.0, 0.5), beta=st.floats(-50.0, 0.0), vertex=st.integers(0, 11))
+def test_a_1e_2_change_at_one_vertex_fails_the_residual(seed, n, k, fraction, beta, vertex):
+    # for beta <= 0, J is strongly convex on E_j^perp with modulus
+    # lambda_{j+1} - alpha >= lambda_{j+1} / 2, so a change d there moves
+    # the residual by at least that modulus times |d| in L2(mu)
+    g = random_connected_graph(np.random.default_rng(seed), n, (1e-2, 1e2),
+                               (1e-2, 1e2), (1e-2, 1e2))
+    spec = compute_spectrum(g)
+    assume(k <= spec.num_distinct - 2)
+    alpha = fraction * spec.eigenvalue(k + 1)
+    report = minimize(g, spec, alpha, beta, k)
+    assert report.status is SolveStatus.CONVERGED
+    assert all(c.passed for c in verify_solution(g, spec, report, tol=1e-8))
+    j = report.regime.subspace_index
+    change = np.zeros(n)
+    change[vertex % n] = 1e-2
+    u = report.minimizer + project_Ek_perp(spec, g, change, j)
+    checks = {c.name: c for c in verify_candidate(g, spec, u, alpha, beta, j, tol=1e-8)}
+    assert checks["mean_zero"].passed and checks["eigenspace_orthogonality"].passed
+    assert not checks["kw_residual_sup"].passed
 
 
 def test_check_result_str(p3, p3_spec):

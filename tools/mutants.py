@@ -120,6 +120,8 @@ MUTANTS = (
     Mutant("cli.py", '{"s", "i", "value"} <= entry.keys()', '{"s", "i"} <= entry.keys()',
            "verify reads a t_multipliers object without a value and fails with a KeyError "
            "traceback"),
+    Mutant("cli.py", """    k = _as_index(doc.get("k", 0), "'k'")\n""", """    k = doc.get("k", 0)\n""",
+           "verify skips a malformed k when the regime names the subspace"),
     # functional: the objective and the analytic bounds
     Mutant("functional.py", "    return quad - beta * log_integral_h_exp(g, u)",
            "    return quad + beta * log_integral_h_exp(g, u)",
@@ -140,6 +142,13 @@ MUTANTS = (
     # graphs: the input contract
     Mutant("graphs.py", "        if not w > 0:", "        if not w >= 0:",
            "validate reports no violation for a zero edge weight"),
+    Mutant("graphs.py", "    except (RecursionError, ValueError) as exc:",
+           "    except ValueError as exc:",
+           "a document nested past the recursion limit escapes the reader as a traceback"),
+    Mutant("graphs.py",
+           "    if not isinstance(doc, dict):\n        raise GraphFormatError(not_object)\n",
+           "",
+           "the reader passes a top level that is not an object on to its callers"),
 )
 
 
