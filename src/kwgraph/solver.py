@@ -299,10 +299,11 @@ def _backtrack(basis: np.ndarray, c: np.ndarray, direction: np.ndarray, tries: i
 def _finalize(g: Graph, spectrum: Spectrum, regime: Regime, u: np.ndarray,
               alpha: float, beta: float, status: SolveStatus,
               trace: tuple[float, ...]) -> SolveReport:
-    """Certificate and report for a copy of u (so a kept report does not
-    pin the spectrum's n x n buffer), with the projected gradient measured
-    as the loop of :func:`minimize` measures it. J and the step count are
-    read off ``trace``, which starts at u = 0 and ends at u."""
+    """Certificate and report for a copy of u (so a kept report pins no
+    n x n buffer; only compute_spectrum's memo holds the last spectrum),
+    with the projected gradient measured as the loop of :func:`minimize`
+    measures it. J and the step count are read off ``trace``, which
+    starts at u = 0 and ends at u."""
     j = regime.subspace_index
     basis = spectrum.split(j)[1]
     grad = _coord_gradient(g, basis, u, alpha, beta) @ basis
@@ -459,7 +460,8 @@ def probe_divergence(g: Graph, spectrum: Spectrum, alpha: float, beta: float,
             f"(alpha={alpha}, beta={beta}, k={k}) classifies as "
             f"{regime.tag.value}; the functional is bounded below there")
     lam = spectrum.eigenvalue(k + 1)
-    # a copy, so a kept report does not pin the spectrum's n x n buffer
+    # a copy, so a kept report pins no n x n buffer; only
+    # compute_spectrum's memo holds the last spectrum
     direction = spectrum.bases[k + 1][0].copy()
     direction.flags.writeable = False
     top = int(np.argmax(direction))

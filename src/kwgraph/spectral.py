@@ -22,6 +22,12 @@ direct sum of the eigenspaces for lambda_1..lambda_k, and E_k^perp its
 mu-orthogonal complement inside the mean-zero subspace H. Both come from
 ``Spectrum.split(k)`` as row slices of the buffer; every projection,
 multiplier and solver basis takes its rows from there.
+
+``compute_spectrum`` keeps the last graph it decomposed, keyed by the
+bits of mu and of the edge arrays, with its spectrum: one entry, no
+more. A graph with the same bits, parsed again or with another h, gets
+the same read-only object back without a decomposition. The entry holds
+that spectrum's n x n buffer until another graph is decomposed.
 """
 
 from __future__ import annotations
@@ -73,14 +79,14 @@ class Spectrum:
     row_eigenvalues: np.ndarray
     distinct_eigenvalues: np.ndarray = field(init=False)
     bases: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _bounds: list[int] = field(init=False, repr=False)
+    _bounds: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.rows.shape[0]
         if int(np.sum(self.multiplicities)) != n or self.row_eigenvalues.shape != (n,):
             raise ValueError("multiplicities and row_eigenvalues must match the basis rows")
         bounds = np.concatenate(([0], np.cumsum(self.multiplicities))).tolist()
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_bounds", tuple(bounds))
         object.__setattr__(self, "distinct_eigenvalues",
                            _read_only(self.row_eigenvalues[bounds[:-1]]))
         object.__setattr__(self, "bases",
@@ -134,12 +140,41 @@ def _mu_normalize(mu: np.ndarray, v: np.ndarray) -> None:
     v /= np.sqrt(float(np.dot(mu * v, v)))
 
 
+# (key, spectrum) of the last graph compute_spectrum decomposed
+_last: tuple[tuple[bytes, ...], Spectrum] | None = None
+
+
 def compute_spectrum(g: Graph) -> Spectrum:
     """Eigendecomposition of -Delta on a connected graph.
 
+    The last graph decomposed is remembered, keyed by the bits of ``mu``
+    and of the three ``edge_arrays`` (h and the vertex ids do not enter
+    -Delta): a graph with the same bits gets the same read-only
+    ``Spectrum`` object back, and any other graph is decomposed anew and
+    takes the single entry's place. The entry holds one n x n buffer
+    until another graph is decomposed.
+
     Raises ValueError when the zero eigenvalue is not simple: the graph
-    is disconnected, or lambda_1 lies within the tolerance of 0.
+    is disconnected, or lambda_1 lies within the tolerance of 0. Such a
+    graph leaves no entry.
     """
+    global _last
+    key = (g.mu.tobytes(), *(arr.tobytes() for arr in g.edge_arrays))
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
+    # release the held spectrum, from the memo and from this frame, before
+    # eigh allocates, so that at most one n x n buffer outlives it
+    _last = last = None
+    spectrum = _decompose(g)
+    # one tuple, so that no reader pairs one graph's key with another's
+    # spectrum
+    _last = (key, spectrum)
+    return spectrum
+
+
+def _decompose(g: Graph) -> Spectrum:
+    """The eigendecomposition behind the memo of :func:`compute_spectrum`."""
     n = g.num_vertices
     # L = D - W scaled to M^{-1/2} L M^{-1/2} in one buffer; the result
     # is exactly symmetric because L and outer(s, s) are. Keep every

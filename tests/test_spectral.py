@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwgraph import (
     Graph,
@@ -15,12 +20,15 @@ from kwgraph import (
     integrate,
     laplacian,
     mu_inner,
+    parse_graph,
     path_graph,
     poincare_constant,
     project_Ek,
     project_Ek_perp,
     project_mean_zero,
     random_connected_graph,
+    serialize_graph,
+    spectral,
     spectrum_to_dict,
 )
 from conftest import dense_laplacian, log_uniform_graph
@@ -218,12 +226,26 @@ def test_weighted_path_spectrum_against_oracle():
     assert np.allclose(np.sort(mine), np.sort(oracle), atol=1e-10)
 
 
+def _mutable_parts(value) -> list:
+    """The writable arrays and mutable containers reachable in ``value``
+    through tuples."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.flags.writeable else []
+    if isinstance(value, tuple):
+        return [part for item in value for part in _mutable_parts(item)]
+    return [] if isinstance(value, (int, float)) else [value]
+
+
 @pytest.mark.parametrize("make", [compute_spectrum], ids=["compute_spectrum"])
 def test_spectrum_arrays_are_read_only(make):
-    spec = make(complete_graph(4))
+    g = complete_graph(4)
+    spec = make(g)
+    # the memoized object every later caller of the same graph shares
+    assert make(g) is spec
     for arr in (spec.distinct_eigenvalues, spec.multiplicities, *spec.bases):
         with pytest.raises(ValueError, match="read-only"):
             arr[-1] = 100
+    assert [name for name, value in vars(spec).items() if _mutable_parts(value)] == []
 
 
 def _stacked(blocks, n):
@@ -344,3 +366,204 @@ def test_compute_spectrum_and_reference_reject_disconnected_graph():
         per_group_spectrum(g)
     with pytest.raises(ValueError, match="disconnected"):
         compute_spectrum(g)
+
+
+# ------------------------------------------------------------ the memo
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(spectral, "_last", None)
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The matrix size of every np.linalg.eigh call the test makes."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(spectral.np.linalg, "eigh", counting)
+    return sizes
+
+
+def _memo_graph():
+    return random_connected_graph(np.random.default_rng(41), 12, extra_edge_prob=0.3)
+
+
+def test_a_graph_parsed_again_gets_the_same_spectrum_without_eigh(empty_memo, eigh_sizes):
+    text = serialize_graph(_memo_graph())
+    spec = compute_spectrum(parse_graph(text))
+    assert eigh_sizes == [12]
+    assert compute_spectrum(parse_graph(text)) is spec
+    assert eigh_sizes == [12]
+
+
+def _one_ulp_up(g, field):
+    mu, edges = g.mu.copy(), list(g.edges)
+    if field == "mu":
+        mu[3] = np.nextafter(mu[3], np.inf)
+    else:
+        i, j, w = edges[5]
+        edges[5] = (i, j, float(np.nextafter(w, np.inf)))
+    return Graph(g.vertex_ids, mu, g.h, edges)
+
+
+@pytest.mark.parametrize("field", ["mu", "w"])
+def test_a_one_ulp_change_misses(empty_memo, eigh_sizes, field):
+    g = _memo_graph()
+    other = _one_ulp_up(g, field)
+    fresh = compute_spectrum(other)
+    compute_spectrum(g)
+    eigh_sizes.clear()
+    spec = compute_spectrum(other)
+    assert eigh_sizes == [12]
+    assert spec is not fresh
+    for name in ("multiplicities", "rows", "row_eigenvalues", "distinct_eigenvalues"):
+        assert np.array_equal(getattr(spec, name), getattr(fresh, name))
+
+
+def test_a_graph_that_differs_only_in_h_and_ids_hits(empty_memo, eigh_sizes):
+    g = _memo_graph()
+    spec = compute_spectrum(g)
+    other = Graph([f"v{x}" for x in range(12)], g.mu, 2.0 * g.h, g.edges)
+    assert compute_spectrum(other) is spec
+    assert eigh_sizes == [12]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Graph(("a", "b", "c", "d"), np.ones(4), np.ones(4), ((0, 1, 1.0), (2, 3, 1.0))),
+     "disconnected"),
+    (complete_graph(2, weight=1e-13), "cannot be told apart"),
+], ids=["disconnected", "lambda1-at-0"])
+def test_a_refused_graph_raises_on_every_call_and_leaves_no_entry(empty_memo, bad, message):
+    for before in (None, path_graph(4)):
+        if before is not None:
+            compute_spectrum(before)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                compute_spectrum(bad)
+            assert spectral._last is None
+
+
+def test_the_held_spectrum_is_released_before_the_next_eigh(empty_memo, monkeypatch):
+    held = weakref.ref(compute_spectrum(path_graph(5)))
+    assert held() is not None
+    alive = []
+    eigh = np.linalg.eigh
+
+    def watching(a, *args, **kwargs):
+        alive.append(held() is not None)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(spectral.np.linalg, "eigh", watching)
+    compute_spectrum(complete_graph(5))
+    assert alive == [False]
+
+
+def test_threads_alternating_two_graphs_each_get_their_own_spectrum(empty_memo):
+    graphs = (path_graph(6), complete_graph(6))
+    want = [compute_spectrum(g).row_eigenvalues for g in graphs]
+    wrong, done = [], []
+
+    def ask(offset):
+        for i in range(200):
+            which = (i + offset) % 2
+            if not np.array_equal(compute_spectrum(graphs[which]).row_eigenvalues,
+                                  want[which]):
+                wrong.append((offset, i))
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert wrong == []
+
+
+# ------------------------------------------------- spectrum properties
+
+def _relabelled(g, perm):
+    """``g`` with vertex x renamed perm[x]."""
+    inverse = np.argsort(perm)
+    return Graph([g.vertex_ids[x] for x in inverse], g.mu[inverse], g.h[inverse],
+                 [(int(perm[i]), int(perm[j]), w) for i, j, w in g.edges])
+
+
+def _mu_distance(mu, a, b):
+    return float(np.sqrt(np.dot(mu, (a - b) ** 2)))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), data=st.data())
+def test_relabelling_permutes_the_spectrum(seed, n, data):
+    g = random_connected_graph(np.random.default_rng(seed), n, extra_edge_prob=0.3)
+    perm = np.array(data.draw(st.permutations(range(n)), label="perm"))
+    spec = compute_spectrum(g)
+    other = _relabelled(g, perm)
+    relabelled = compute_spectrum(other)
+    # a relabelled graph is its own memo entry, unless nothing moved
+    assert (relabelled is spec) == bool(np.all(perm == np.arange(n)))
+    lam = spec.row_eigenvalues
+    assert np.all(np.abs(relabelled.row_eigenvalues - lam)
+                  <= [spec.tolerance(x) for x in lam])
+    # Davis-Kahan: a row of a simple eigenvalue is off by at most the
+    # eigensolver's backward error over its distance to the rest; the
+    # rows moved by at most 0.9 n eps lambda_max / gap on 400 random draws
+    backward = 10 * n * spectral._EPS * float(lam[-1])
+    for r in range(1, n):
+        gap = float(np.min(np.abs(np.delete(lam, r) - lam[r])))
+        if gap <= spec.tolerance(lam[r]):
+            continue
+        mine, theirs = spec.rows[r], relabelled.rows[r][perm]
+        sign = 1.0 if np.dot(g.mu * mine, theirs) > 0 else -1.0
+        assert _mu_distance(g.mu, mine, sign * theirs) <= backward / gap
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), log_uniform=st.booleans())
+def test_rows_are_mu_orthonormal_and_multiplicities_sum_to_n(seed, n, log_uniform):
+    if log_uniform:
+        g = log_uniform_graph(seed, n)
+    else:
+        g = random_connected_graph(np.random.default_rng(seed), n)
+    spec = compute_spectrum(g)
+    assert int(np.sum(spec.multiplicities)) == n
+    gram = (spec.rows * g.mu) @ spec.rows.T
+    assert float(np.max(np.abs(gram - np.eye(n)))) <= 1e-10
+
+
+def _cycle_graph(n, mu, weight):
+    return Graph([str(x) for x in range(n)], np.full(n, mu), np.ones(n),
+                 [(x, (x + 1) % n, weight) for x in range(n)])
+
+
+def _closed_form(name, n):
+    """Eigenvalues of -Delta at mu = w = 1, ascending, with multiplicity."""
+    if name == "path":
+        return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+    if name == "cycle":
+        return np.sort(2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    return np.array([0.0] + [float(n)] * (n - 1))
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(["path", "cycle", "complete"]), n=st.integers(3, 30),
+       mu=st.floats(0.1, 10.0), weight=st.floats(0.1, 10.0))
+def test_path_cycle_and_complete_graphs_match_their_closed_forms(name, n, mu, weight):
+    build = {"path": path_graph, "complete": complete_graph}.get(name)
+    g = _cycle_graph(n, mu, weight) if build is None else build(n, mu=mu, weight=weight)
+    spec = compute_spectrum(g)
+    want = weight / mu * _closed_form(name, n)
+    assert np.all(np.abs(spec.row_eigenvalues - want)
+                  <= [spec.tolerance(x) for x in want])
+    distinct, counts = np.unique(np.round(want / want[-1], 9), return_counts=True)
+    assert spec.multiplicities.tolist() == counts.tolist()

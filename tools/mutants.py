@@ -137,6 +137,13 @@ MUTANTS = (
     Mutant("spectral.py", "return 1e-9 * (1.0 + np.abs(lam))",
            "return 1e-6 * (1.0 + np.abs(lam))",
            "eigenvalues 1e-6 apart are merged into one group"),
+    Mutant("spectral.py", "(g.mu.tobytes(), *(arr.tobytes() for arr in g.edge_arrays))",
+           "(*(arr.tobytes() for arr in g.edge_arrays),)",
+           "the spectrum memo hands a graph the spectrum of another mu on the same edges"),
+    Mutant("spectral.py", "for arr in g.edge_arrays)", "for arr in g.edge_arrays[:2])",
+           "the spectrum memo hands a graph the spectrum of other weights on the same edges"),
+    Mutant("spectral.py", "    _last = last = None\n", "    last = None\n",
+           "the memo keeps the last spectrum alive while the next graph is decomposed"),
     Mutant("calculus.py", "    flux = ew * (u[ej] - u[ei])", "    flux = ew * (u[ei] - u[ej])",
            "the Laplacian has the wrong sign"),
     # graphs: the input contract
