@@ -1,16 +1,34 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kwgraph
-from kwgraph import compute_spectrum, parse_graph, solver, spectrum_to_dict
+from kwgraph import (
+    ProbeVerdict,
+    RegimeTag,
+    SolveStatus,
+    classify_regime,
+    compute_spectrum,
+    minimize,
+    parse_graph,
+    probe_divergence,
+    random_connected_graph,
+    serialize_graph,
+    solver,
+    spectrum_to_dict,
+)
 from kwgraph.cli import main
 
 from conftest import DEEP_NESTING, HUGE_INTEGER, K2_DOC, P3_DOC, int_digit_limit
@@ -564,6 +582,68 @@ def test_malformed_document_exits_1_with_one_error_line(capsys, tmp_path, k2_pat
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------- properties
+
+
+def _cli(*argv):
+    """(exit code, stdout) of one in-process run; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# (where alpha lies against lambda_{k+1}, beta): every regime of the
+# trichotomy. Near resonance a solve can stop short (exit 3), and at the
+# gap a small beta leaves the probe inconclusive (exit 4).
+REGIME_CASES = [("below", 5.0), ("below", -500.0), ("below", 500.0), ("near", 1.0),
+                ("at", 0.0), ("at", -5.0), ("at", 5.0), ("at", 1e-3),
+                ("above", 5.0), ("above", -5.0), ("above", 0.0)]
+
+
+@pytest.mark.parametrize("place, beta", REGIME_CASES)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+       extra_edge_prob=st.sampled_from([0.0, 0.3, 1.0]), scale=st.floats(0.0, 0.9),
+       data=st.data())
+def test_exit_codes_and_stdout_follow_the_library(place, beta, seed, n, extra_edge_prob,
+                                                  scale, data):
+    text = serialize_graph(random_connected_graph(np.random.default_rng(seed), n,
+                                                  extra_edge_prob=extra_edge_prob))
+    g = parse_graph(text)
+    sp = compute_spectrum(g)
+    k = data.draw(st.integers(0, sp.num_distinct - 2), label="k")
+    group = sp.members(k + 1)
+    alpha = {"below": (2.0 * scale - 1.0) * float(group[0]), "near": float(group[0]) - 1e-8,
+             "at": float(group[0]), "above": (1.1 + scale) * float(group[-1])}[place]
+    if classify_regime(sp, alpha, beta, k).tag is RegimeTag.UNBOUNDED_BELOW:
+        verdict = probe_divergence(g, sp, alpha, beta, k).verdict
+        expected = {"solve": 2, "probe": 0 if verdict is ProbeVerdict.UNBOUNDED else 4}
+    else:
+        status = minimize(g, sp, alpha, beta, k).status
+        expected = {"solve": 0 if status is SolveStatus.CONVERGED else 3, "probe": 1}
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, report = Path(tmp) / "g.json", Path(tmp) / "report.json"
+        graph.write_text(text, encoding="utf-8")
+        problem = (str(graph), "--alpha", repr(alpha), "--beta", repr(beta), "--k", str(k))
+        argv = {"solve": ("solve", *problem, "--json", str(report)),
+                "probe": ("probe", *problem)}
+        for command, args in argv.items():
+            code, out = _cli(*args)
+            assert code == expected[command], command
+            # stdout is strict JSON, or empty where the command refuses
+            assert (out == "") == (code in (1, 2))
+            if out:
+                json.loads(out, parse_constant=_refuse_constant)
+            assert _cli(*args) == (code, out)
+        if expected["solve"] == 0:
+            assert _cli("verify", str(report))[0] == 0
 
 
 # ---------------------------------------------------------------- imports

@@ -2,28 +2,36 @@
 
     python3 tools/bench_pair.py PARENT_REV --label L --seeds 1-10
 
-First it runs ``perfbench/make_reference.py`` once on the committed
-files of PARENT_REV (exported with ``git archive`` into a temporary
-directory) and once in the working tree, and records whether the two
-printed byte-identical answers, with the keys of the answers that differ
-(also printed to stderr when there are any). It records each side's
-work per answer from one ``perfbench/run.py --trace 1`` run of seed 1
-per workload, and whether the two sides did the same work. Then, for
-each seed and each workload of BENCHMARK.json, it runs
-``perfbench/run.py --trace 0`` once on each side. Which side runs first
-alternates from pair to pair. It writes ``BENCH_<L>.json`` at the repo
-root: ``answers_identical``, ``answers_differ``, ``code_lines`` (per
-side, the code lines of each ``src/kwgraph/*.py`` module and their
-total: non-blank lines that are neither comments nor docstrings),
-``work`` and ``work_identical``, every run's end-to-end metrics with
+PARENT_REV's committed files are exported with ``git archive`` into a
+temporary directory. In that checkout and in the working tree, one
+script answers every pool question that ``perfbench/make_reference.py``
+records, as the benchmark does, and records each answer's gate outcome
+(``certified``, against an empty reference) and every report field:
+each SolveReport field and verify check (or ``UnboundedRegimeError``),
+each probe's verdict, direction and samples, and each spectrum
+question's lambda_1 and Poincare constant. One ``perfbench/run.py
+--trace 1`` run of seed 1 per workload gives each side's work per
+answer. Then, for each seed (``--seeds 1`` is the quickest run) and
+each workload of BENCHMARK.json, ``perfbench/run.py --trace 0`` runs
+once on each side, the first side alternating from pair to pair.
+
+It writes ``BENCH_<L>.json`` at the repo root: ``answers_identical``
+(every field of every answer is identical), ``answers_differ`` (the
+``group/key`` of each answer that differs), ``answer_fields`` (per
+group, ``identical`` answers ``of`` how many, and for each field that
+moved, on how many answers it ``differs`` and its ``largest_relative``
+change; also printed to stderr), ``code_lines`` (per side, the code
+lines of each ``src/kwgraph/*.py`` module and their total: non-blank
+lines that are neither comments nor docstrings), ``work`` and
+``work_identical``, every run's end-to-end metrics with
 ``failed``/``attempted``, and per workload each side's median and
 quartiles, the number of pairs the working tree won, each side's pooled
 ``failed``/``attempted`` and their ``share``, and the seeds whose failed
-share differs between the sides (also printed to stderr when there are
-any). When the pooled shares differ although every seed's share is
-equal, it prints that the gap comes from pass counts alone: runs end
-after whole passes, so the pooled share weighs each seed by the number
-of passes its side ran.
+share differs between the sides (also printed to stderr). When the
+pooled shares differ although every seed's share is equal, it prints
+that the gap comes from pass counts alone: runs end after whole passes,
+so the pooled share weighs each seed by the number of passes its side
+ran.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import argparse
 import ast
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -99,13 +108,106 @@ def run_script(root: Path, *args: str) -> str:
     return proc.stdout
 
 
-def answers_differ(parent: str, change: str) -> list[str]:
-    """The section/key of every answer that differs between two
-    ``make_reference.py`` outputs."""
-    a, b = json.loads(parent), json.loads(change)
-    return sorted(f"{part}/{key}" for part in a.keys() | b.keys()
-                  for key in a.get(part, {}).keys() | b.get(part, {}).keys()
-                  if a.get(part, {}).get(key) != b.get(part, {}).get(key))
+# run in each checkout: prints {group: {question key: {field: value}}} as
+# JSON, whose floats round-trip exactly
+DUMP = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import benchenv
+benchenv.prepare()
+import kwgraph as kw
+import workloads as wl
+
+def solve(q, texts):
+    try:
+        g, report, checks = wl.answer_solve(q, texts[q["graph"]])
+    except kw.UnboundedRegimeError:
+        return {"certified": False, "status": "UnboundedRegimeError"}
+    failed = [c.name for c in checks if not c.passed]
+    return {"certified": wl.judge_report(g, report, failed, {}).certified,
+            "status": report.status.value, "iterations": report.iterations,
+            "regime": [report.regime.tag.value, report.regime.subspace_index],
+            "minimizer": report.minimizer.tolist(), "objective": report.objective,
+            "grad_sup": report.grad_sup, "residual_sup": report.residual_sup,
+            "xi": report.xi, "t_multipliers": report.t_multipliers,
+            "alpha": report.alpha, "beta": report.beta, "trace": report.trace,
+            "checks": [[c.name, c.passed, c.value, c.limit] for c in checks]}
+
+def probe(q, texts):
+    g = kw.parse_graph(texts[q["graph"]])
+    probe = kw.probe_divergence(g, kw.compute_spectrum(g), q["alpha"], q["beta"], q["k"])
+    return {"certified": wl.judge_probe(g, probe, q, {}).certified,
+            "verdict": probe.verdict.value, "direction": probe.direction.tolist(),
+            "samples": probe.samples}
+
+def spectrum(q, texts):
+    sp = kw.compute_spectrum(kw.parse_graph(texts[q["graph"]]))
+    l1 = sp.eigenvalue(1)
+    return {"certified": wl._lambda_matches(l1, q["lambda1"]), "lambda1": l1,
+            "poincare": kw.poincare_constant(sp)}
+
+def answer(q, texts):
+    if q["group"] == "spectrum":
+        return spectrum(q, texts)
+    return (probe if q["group"].startswith("probe") else solve)(q, texts)
+
+out, texts = {"solve-ladder": {}, "spectral-large": {}, "cli": {}}, {}
+for n, size in wl.SOLVE_SIZES.items():
+    for j in range(size):
+        for regime in wl.SOLVE_REGIMES:
+            q = wl.solve_question(n, j, regime, texts)
+            out["solve-ladder"][q["key"]] = answer(q, texts)
+for n, size in wl.SPECTRAL_POOL.items():
+    for j in range(size):
+        for q in wl.spectral_questions(n, j, texts):
+            out["spectral-large"][q["key"]] = answer(q, texts)
+for j in range(wl.CLI_POOL):
+    for q in wl.cli_questions(j, texts):
+        # the CLI verify re-certifies the solve report of the same graph,
+        # so answer() takes it as that solve
+        out["cli"][q["key"]] = answer(q, texts)
+json.dump(out, sys.stdout)
+"""
+
+
+def largest_relative(a, b) -> float:
+    """Largest |a - b| / |a| over matching numbers (int or float, not
+    bool) of two values of the same shape; inf where a list length or a
+    non-number differs, or where a is 0 and b is not."""
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((largest_relative(x, y) for x, y in zip(a, b)), default=0.0)
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return 0.0 if a == b else abs(a - b) / abs(a) if a else math.inf
+    return 0.0 if a == b else math.inf
+
+
+def compare_answers(parent: dict, change: dict) -> tuple[list[str], dict]:
+    """The ``group/key`` of every answer that differs between two dumps,
+    and per group how many answers are identical of how many, and for
+    each field that moved, on how many answers and by how much at most
+    (relative to the parent's value). An answer or field that only one
+    side has counts as moved."""
+    differ: list[str] = []
+    fields: dict = {}
+    for group in sorted(parent.keys() | change.keys()):
+        before, after = parent.get(group, {}), change.get(group, {})
+        keys = sorted(before.keys() | after.keys())
+        differing = [key for key in keys if before.get(key) != after.get(key)]
+        moved: dict[str, list[float]] = {}
+        for key in differing:
+            a, b = before.get(key, {}), after.get(key, {})
+            for name in a.keys() | b.keys():
+                if name not in a or name not in b or a[name] != b[name]:
+                    moved.setdefault(name, []).append(largest_relative(a.get(name),
+                                                                       b.get(name)))
+        differ.extend(f"{group}/{key}" for key in differing)
+        fields[group] = {"identical": len(keys) - len(differing), "of": len(keys),
+                         "moved": {name: {"differs": len(changes),
+                                          "largest_relative": max(changes)}
+                                   for name, changes in sorted(moved.items())}}
+    return differ, fields
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -195,13 +297,12 @@ def main(argv: list[str] | None = None) -> int:
         parent_root = Path(tmp) / "parent"
         export(doc["parent"], parent_root)
         roots = {"parent": parent_root, "change": ROOT}
-        answers = {side: run_script(roots[side], "perfbench/make_reference.py")
-                   for side in SIDES}
+        answers = {side: json.loads(run_script(roots[side], "-c", DUMP)) for side in SIDES}
         doc["code_lines"] = {side: package_code_lines(roots[side]) for side in SIDES}
-        doc["answers_identical"] = answers["parent"] == answers["change"]
-        doc["answers_differ"] = answers_differ(answers["parent"], answers["change"])
-        if doc["answers_differ"]:
-            print(f"answers differ: {doc['answers_differ']}", file=sys.stderr)
+        doc["answers_differ"], doc["answer_fields"] = compare_answers(answers["parent"],
+                                                                      answers["change"])
+        doc["answers_identical"] = not doc["answers_differ"]
+        print(json.dumps(doc["answer_fields"], indent=1), file=sys.stderr)
         doc["work"] = {side: {w: work_counts(roots[side], w, seconds) for w in workloads}
                        for side in SIDES}
         doc["work_identical"] = {w: per_answer(doc["work"]["parent"][w])

@@ -5,8 +5,8 @@
 Each mutant replaces one piece of text in one module of ``src/kwgraph/``
 and says in one line what fault it stands for. The text must occur
 exactly once in that module, or the tool stops before running anything.
-The tool copies ``src``, ``tests``, ``demos``, ``README.md`` and
-``pyproject.toml`` into a temporary directory, checks that tier-1
+The tool copies ``src``, ``tests``, ``tools``, ``demos``, ``README.md``
+and ``pyproject.toml`` into a temporary directory, checks that tier-1
 passes there unmutated, and then, for one mutant at a time, edits the
 copy and runs tier-1 with ``-x`` on it. Tier-1 there leaves out
 ``tests/test_mutants.py``, which checks this list against the unmutated
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "demos", "README.md", "pyproject.toml")
 TIMEOUT_S = 600
 
 
