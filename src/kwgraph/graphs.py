@@ -11,7 +11,15 @@ The value rules (positive ``mu``, ``h`` and ``w``, no self-loops, no
 repeated vertex pair) live in one checker: :func:`validate` returns its
 messages, plus ``"disconnected"``, and :func:`parse_graph` raises the
 first of them. A document with several faults reports its structure and
-type errors first, then its value errors in record order.
+type errors first, then its value errors in record order. A ``Graph``
+runs that checker and its connectivity search once, on first use, and
+keeps both results.
+
+``parse_graph`` keeps the last document it accepted, with its graph:
+one entry, no more. A text equal to that document gets the same
+immutable ``Graph`` object back without being read again. Only an
+accepted document takes the entry's place; a refused one raises on
+every call and leaves the entry as it was.
 """
 
 from __future__ import annotations
@@ -51,7 +59,8 @@ class Graph:
     judged by the dtype numpy gives it. Value-level soundness
     (positivity, no self-loops or repeated pairs, connectivity) is
     reported by :func:`validate`, so that broken inputs can be diagnosed
-    rather than refused wholesale.
+    rather than refused wholesale. The graph checks it once, when first
+    asked, and keeps the value faults and the connectivity.
     """
 
     def __init__(self, vertex_ids: Sequence[str], mu, h,
@@ -115,6 +124,15 @@ class Graph:
     @cached_property
     def mu_min(self) -> float:
         return float(np.min(self.mu))
+
+    @cached_property
+    def _faults(self) -> tuple[str, ...]:
+        """The value faults :func:`validate` lists, in record order."""
+        return tuple(_value_faults(self))
+
+    @cached_property
+    def _is_connected(self) -> bool:
+        return _connected(self)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -189,6 +207,10 @@ def _json_object(text: str, invalid: str = "not valid JSON",
     return doc
 
 
+# (text, graph) of the last document parse_graph accepted
+_last: tuple[str, Graph] | None = None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse a JSON graph document.
 
@@ -207,7 +229,19 @@ def parse_graph(text: str) -> Graph:
     :func:`validate` would report for nonpositive ``mu``/``h``/``w``,
     self-loops or repeated vertex pairs, in record order. Connectivity is
     deliberately not checked here; run :func:`validate` for that.
+
+    The last document accepted is remembered, keyed by its text: a text
+    equal to it returns the same immutable ``Graph`` object, without
+    reading the text again, and any other accepted text takes the single
+    entry's place. A refused document raises on every call and leaves
+    the entry as it was. Since the key is the text alone, a document
+    accepted once is not read again under a stricter integer-digit or
+    recursion limit.
     """
+    global _last
+    last = _last
+    if last is not None and last[0] == text:
+        return last[1]
     # Every check below runs once per record, and most messages embed a
     # record's repr, so a message is built only once its check has
     # failed. A number that is not a plain finite float goes through
@@ -258,9 +292,10 @@ def parse_graph(text: str) -> Graph:
             w = _as_number(w, f"weight on edge ('{u}', '{v}')")
         edges.append((index[u], index[v], w))
     g = Graph(ids, mu, h, edges)
-    faults = _value_faults(g)
-    if faults:
-        raise GraphFormatError(faults[0])
+    if g._faults:
+        raise GraphFormatError(g._faults[0])
+    # one tuple, so that no reader pairs one text with another's graph
+    _last = (text, g)
     return g
 
 
@@ -293,9 +328,13 @@ def validate(g: Graph) -> list[str]:
     vertex pair, then a nonpositive weight. ``"disconnected"`` comes
     last. An empty list means the graph satisfies every precondition the
     rest of the library relies on.
+
+    The checks run once per ``Graph`` object, which keeps their results;
+    a graph that :func:`parse_graph` returns from its memo is therefore
+    not checked again. Each call returns a new list.
     """
-    violations = _value_faults(g)
-    if not _connected(g):
+    violations = list(g._faults)
+    if not g._is_connected:
         violations.append("disconnected")
     return violations
 

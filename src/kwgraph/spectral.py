@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import project_mean_zero
-from .graphs import Graph, _connected, as_vertex_function
+from .graphs import Graph, as_vertex_function
 
 __all__ = [
     "Spectrum",
@@ -201,7 +201,7 @@ def _decompose(g: Graph) -> Spectrum:
     starts = np.flatnonzero(np.diff(evals) > _tolerance(evals[:-1], evals)) + 1
     bounds = np.concatenate(([0], starts, [n])).tolist()
     if bounds[1] != 1:
-        if _connected(g):
+        if g._is_connected:
             raise ValueError(
                 f"lambda_1 = {float(evals[1])!r} cannot be told apart from lambda_0 = 0")
         raise ValueError(

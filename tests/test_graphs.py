@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from kwgraph import (
     Graph,
     GraphFormatError,
     as_vertex_function,
+    complete_graph,
+    compute_spectrum,
+    graphs,
     parse_graph,
+    path_graph,
     random_connected_graph,
     serialize_graph,
     validate,
@@ -539,3 +545,137 @@ def test_a_one_field_mutation_raises_graph_format_error(seed, n, log_uniform, mu
     text = _mutated(doc, mutation, data)
     with int_digit_limit(digit_limit), pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+# ------------------------------------------------------------ the memo
+
+@pytest.fixture
+def empty_parse_memo(monkeypatch):
+    monkeypatch.setattr(graphs, "_last", None)
+
+
+@pytest.fixture
+def json_loads_calls(monkeypatch):
+    """The number of json.loads calls parse_graph makes, as a one-item list."""
+    calls = [0]
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return loads(*args, **kwargs)
+    monkeypatch.setattr(graphs.json, "loads", counting)
+    return calls
+
+
+def _memo_text() -> str:
+    return serialize_graph(random_connected_graph(np.random.default_rng(43), 12,
+                                                  extra_edge_prob=0.3))
+
+
+def test_an_equal_text_gets_the_same_graph_without_json_loads(empty_parse_memo,
+                                                              json_loads_calls):
+    text = _memo_text()
+    g = parse_graph(text)
+    assert json_loads_calls == [1]
+    again = text[:1] + text[1:]
+    assert again == text and again is not text
+    assert parse_graph(again) is g
+    assert json_loads_calls == [1]
+
+
+def test_a_one_character_change_to_a_weight_misses(empty_parse_memo, monkeypatch,
+                                                   json_loads_calls):
+    text = _memo_text()
+    at = text.index('"w": ') + len('"w": 0.')
+    digit = "1" if text[at] != "1" else "2"
+    changed = text[:at] + digit + text[at + 1:]
+    g = parse_graph(text)
+    other = parse_graph(changed)
+    assert json_loads_calls == [2]
+    assert other is not g and other != g
+    monkeypatch.setattr(graphs, "_last", None)
+    assert parse_graph(changed) == other
+
+
+@pytest.mark.parametrize("name", list(PARSE_ERRORS))
+def test_a_refused_document_raises_on_every_call_and_keeps_the_entry(empty_parse_memo,
+                                                                     name):
+    text, message = PARSE_ERRORS[name]
+    for before in (None, K2_DOC):
+        if before is not None:
+            parse_graph(before)
+        entry = graphs._last
+        for _ in range(2):
+            with pytest.raises(GraphFormatError) as info:
+                parse_graph(text)
+            assert str(info.value) == message
+            assert graphs._last is entry
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """How often _value_faults and the connectivity search run."""
+    calls = {"_value_faults": 0, "_connected": 0}
+
+    def counted(name):
+        check = getattr(graphs, name)
+
+        def counting(g):
+            calls[name] += 1
+            return check(g)
+        return counting
+    for name in calls:
+        monkeypatch.setattr(graphs, name, counted(name))
+    return calls
+
+
+def test_a_graph_checks_its_validity_once(check_calls):
+    g = Graph(("a", "b", "c"), [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], ((0, 1, 0.0),))
+    want = ["nonpositive measure mu=-1.0 at vertex 'b'",
+            "nonpositive weight w=0.0 on edge ('a', 'b')", "disconnected"]
+    first = validate(g)
+    assert first == want
+    first.append("changed by the caller")
+    first[0] = "changed by the caller"
+    assert validate(g) == want
+    assert validate(g) is not validate(g)
+    assert check_calls == {"_value_faults": 1, "_connected": 1}
+
+
+def test_parse_validate_and_the_spectrum_share_one_check(empty_parse_memo, check_calls):
+    text = _doc([_A, _B, {"id": "c", "mu": 1.0, "h": 1.0}],
+                [{"u": "a", "v": "b", "w": 1.0}])
+    g = parse_graph(text)
+    assert validate(g) == ["disconnected"]
+    with pytest.raises(ValueError, match="disconnected"):
+        compute_spectrum(g)
+    assert parse_graph(text) is g
+    assert validate(g) == ["disconnected"]
+    assert check_calls == {"_value_faults": 1, "_connected": 1}
+
+
+def test_threads_alternating_two_documents_each_get_their_own_graph(empty_parse_memo):
+    texts = (serialize_graph(path_graph(6)), serialize_graph(complete_graph(6)))
+    want = [parse_graph(text) for text in texts]
+    wrong, done = [], []
+
+    def ask(offset):
+        for i in range(200):
+            which = (i + offset) % 2
+            if parse_graph(texts[which]) != want[which]:
+                wrong.append((offset, i))
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert wrong == []

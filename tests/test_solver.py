@@ -86,6 +86,16 @@ def test_classify_eq_tol_boundary(p3, p3_spec):
     assert outside.tag is RegimeTag.UNBOUNDED_BELOW
 
 
+def test_classify_puts_alpha_exactly_at_either_edge_at_the_gap(p3, p3_spec):
+    group = p3_spec.members(1)
+    lo, hi = float(group[0]), float(group[-1])
+    for alpha in (lo - p3_spec.tolerance(lo), hi + p3_spec.tolerance(hi)):
+        assert classify_regime(p3_spec, alpha, 0.0, 0).tag is RegimeTag.EIGENFUNCTION_SOLUTION
+        assert classify_regime(p3_spec, alpha, -1.0, 0).tag is RegimeTag.MINIMIZER_IN_NEXT_PERP
+    past = float(np.nextafter(hi + p3_spec.tolerance(hi), np.inf))
+    assert classify_regime(p3_spec, past, -1.0, 0).tag is RegimeTag.UNBOUNDED_BELOW
+
+
 def test_classify_rejects_bad_k(p3, p3_spec):
     with pytest.raises(ValueError, match="out of range"):
         classify_regime(p3_spec, 0.0, 0.0, 2)
@@ -630,6 +640,20 @@ def test_probe_inconclusive_when_shallow(k2, k2_spec):
     t, value = report.samples[-1]
     assert t == 2.0 ** 20
     assert 0.0 < value < 100.0
+
+
+def test_probe_is_inconclusive_when_its_last_sample_equals_the_depth(k2, k2_spec,
+                                                                      monkeypatch):
+    # a positive depth never lengthens the ray (the rounding cap
+    # -1e-3 * depth is negative), so the samples stay those of the shallow
+    # probe above, and the last one lies at the depth, not below it
+    args = (k2, k2_spec, 2.0 - 1.5e-9, 1e-3)
+    last = probe_divergence(*args).samples[-1][1]
+    assert last > 0.0
+    monkeypatch.setattr(solver, "DIVERGENCE_DEPTH", last)
+    report = probe_divergence(*args)
+    assert report.samples[-1] == (2.0 ** 20, last)
+    assert report.verdict is ProbeVerdict.INCONCLUSIVE
 
 
 @pytest.mark.parametrize("beta", [1e-200, 1e-310])

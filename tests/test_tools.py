@@ -134,3 +134,57 @@ def test_compare_answers_counts_an_answer_or_field_one_side_lacks():
     assert fields["cli"]["moved"] == {
         name: {"differs": count, "largest_relative": math.inf}
         for name, count in (("certified", 2), ("objective", 1), ("status", 1))}
+
+
+def _solve(checks, **fields):
+    """A solve record with the given [name, passed, value, limit] checks."""
+    return {**_answer(), **fields, "checks": [list(check) for check in checks]}
+
+
+_CHECKS = (("mean_zero", True, 1e-12, 2e-8), ("kw_residual_sup", True, 3e-11, 1e-8))
+
+
+def test_a_check_only_the_change_has_is_counted_apart_and_moves_nothing():
+    added = ("new_bound", True, 0.5, 1.0)
+    parent = {"solve-ladder": {"q0": _solve(_CHECKS), "q1": _solve(_CHECKS),
+                               "q2": _solve(_CHECKS)}}
+    change = {"solve-ladder": {"q0": _solve(_CHECKS + (added,)),
+                               # the same checks in another order
+                               "q1": _solve((_CHECKS[1], _CHECKS[0],
+                                             ("new_bound", False, 2.0, 1.0))),
+                               "q2": _solve(_CHECKS)}}
+    differ, fields = bench_pair.compare_answers(parent, change)
+    assert differ == []
+    assert fields == {"solve-ladder": {
+        "identical": 3, "of": 3, "moved": {},
+        "added_checks": {"new_bound": {"passed": 1, "of": 2}}}}
+
+
+@pytest.mark.parametrize("checks, relative", [
+    (((_CHECKS[0][0], True, 2e-12, 2e-8), _CHECKS[1]), 1.0),
+    (((_CHECKS[0][0], False, 1e-12, 2e-8), _CHECKS[1]), math.inf),
+    ((_CHECKS[1],), math.inf),
+    ((_CHECKS[1], ("new_bound", True, 0.5, 1.0)), math.inf),
+], ids=["value-moved", "verdict-moved", "vanished", "vanished-beside-an-added-one"])
+def test_a_check_that_moved_or_vanished_still_moves_its_answer(checks, relative):
+    parent = {"cli": {"q0": _solve(_CHECKS)}}
+    change = {"cli": {"q0": _solve(checks)}}
+    differ, fields = bench_pair.compare_answers(parent, change)
+    assert differ == ["cli/q0"]
+    assert fields["cli"]["moved"] == {"checks": {"differs": 1, "largest_relative": relative}}
+
+
+def test_a_key_only_the_change_has_in_a_probe_or_spectrum_record_moves_nothing():
+    probe = {"certified": True, "verdict": "unbounded", "samples": [[1.0, -2.0]]}
+    spectrum = {"certified": True, "lambda1": 0.5, "poincare": 2.0}
+    parent = {"spectral-large": {"p0": probe, "p1": probe, "s0": spectrum}}
+    change = {"spectral-large": {"p0": {**probe, "depth": 3.0},
+                                 "p1": {**probe, "depth": 4.0, "verdict": "inconclusive"},
+                                 "s0": {"certified": True, "lambda1": 0.5}}}
+    differ, fields = bench_pair.compare_answers(parent, change)
+    assert differ == ["spectral-large/p1", "spectral-large/s0"]
+    assert fields["spectral-large"] == {
+        "identical": 1, "of": 3,
+        "moved": {"poincare": {"differs": 1, "largest_relative": math.inf},
+                  "verdict": {"differs": 1, "largest_relative": math.inf}},
+        "added_keys": {"depth": 2}}

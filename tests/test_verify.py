@@ -337,3 +337,21 @@ def test_each_check_passes_inside_its_limit_and_fails_outside(
     check = _checks_at(name, factor, k2, k2_spec, p3, p3_spec)[name]
     assert np.isclose(check.value, factor * check.limit, rtol=1e-6)
     assert check.passed == passed
+
+
+def test_the_mean_checks_pass_a_value_exactly_at_their_limit(k2, k2_spec):
+    # a constant u = 1e-8 on K2 at alpha = 1 has integral 2e-8 and residual
+    # alpha u = 1e-8, whose integral is 2e-8: each equals tol * Vol in float64
+    checks = {c.name: c for c in verify_candidate(k2, k2_spec, np.full(2, 1e-8), 1.0, 0.0, 0)}
+    for name in ("mean_zero", "residual_mean_zero"):
+        assert checks[name].value == checks[name].limit == 1e-8 * 2.0
+        assert checks[name].passed
+
+
+def test_verify_candidate_defaults_to_tol_1e_8(k2, k2_spec):
+    checks = {c.name: c.limit for c in verify_candidate(k2, k2_spec, np.zeros(2), 0.0, 1.0, 0,
+                                                        claimed_xi=0.5)}
+    assert checks["kw_residual_sup"] == checks["eigenspace_orthogonality"] == 1e-8
+    assert checks["multiplier_xi"] == 1e-8
+    assert checks["mean_zero"] == checks["residual_mean_zero"] == 1e-8 * 2.0
+    assert checks["kw_residual_l2"] == 1e-8 * np.sqrt(2.0)

@@ -20,9 +20,12 @@ It writes ``BENCH_<L>.json`` at the repo root: ``answers_identical``
 ``group/key`` of each answer that differs), ``answer_fields`` (per
 group, ``identical`` answers ``of`` how many, and for each field that
 moved, on how many answers it ``differs`` and its ``largest_relative``
-change; also printed to stderr), ``code_lines`` (per side, the code
-lines of each ``src/kwgraph/*.py`` module and their total: non-blank
-lines that are neither comments nor docstrings), ``work`` and
+change, and what only the working tree's answers have: verify checks,
+matched by name, under ``added_checks`` and probe or spectrum keys under
+``added_keys``, neither of which makes an answer differ; also printed to
+stderr), ``code_lines`` (per side, the code lines of each
+``src/kwgraph/*.py`` module and their total: non-blank lines that are
+neither comments nor docstrings), ``work`` and
 ``work_identical``, every run's end-to-end metrics with
 ``failed``/``attempted``, and per workload each side's median and
 quartiles, the number of pairs the working tree won, each side's pooled
@@ -183,30 +186,83 @@ def largest_relative(a, b) -> float:
     return 0.0 if a == b else math.inf
 
 
+def _record_diff(a: dict, b: dict) -> tuple[dict[str, float], dict[str, bool], list[str]]:
+    """How the change's record ``b`` of one answer differs from the
+    parent's ``a``: each moved field with its ``largest_relative`` change,
+    each verify check only ``b`` has with whether it passed, and each key
+    only ``b`` has in a probe or spectrum record (one without a
+    ``status``). Checks are matched by name, so a check that moved or
+    that ``b`` lacks moves ``checks``, and one only ``b`` has moves
+    nothing."""
+    moved: dict[str, float] = {}
+    added_checks: dict[str, bool] = {}
+    added_keys: list[str] = []
+    solve = "status" in a or "status" in b
+    for name in sorted(a.keys() | b.keys()):
+        if name == "checks" and name in a and name in b:
+            before = {check[0]: check[1:] for check in a[name]}
+            after = {check[0]: check[1:] for check in b[name]}
+            added_checks.update((check, after[check][0]) for check in after.keys() - before)
+            if any(before[check] != after.get(check) for check in before):
+                moved[name] = max(largest_relative(before[check], after.get(check))
+                                  for check in before)
+        elif name not in a and not solve:
+            added_keys.append(name)
+        elif name not in a or name not in b or a[name] != b[name]:
+            moved[name] = largest_relative(a.get(name), b.get(name))
+    return moved, added_checks, added_keys
+
+
 def compare_answers(parent: dict, change: dict) -> tuple[list[str], dict]:
     """The ``group/key`` of every answer that differs between two dumps,
     and per group how many answers are identical of how many, and for
     each field that moved, on how many answers and by how much at most
-    (relative to the parent's value). An answer or field that only one
-    side has counts as moved."""
+    (relative to the parent's value). An answer that only one side has
+    counts as moved in every field.
+
+    What the change adds does not make an answer differ. A verify check
+    only the change side has is listed per group under ``added_checks``,
+    with on how many answers it ``passed`` ``of`` how many ran it, and a
+    key only the change side has in a probe or spectrum record under
+    ``added_keys``, with on how many answers; each section appears only
+    when it is not empty. A check or key that moved or that the change
+    lacks still makes its answer differ."""
     differ: list[str] = []
     fields: dict = {}
     for group in sorted(parent.keys() | change.keys()):
         before, after = parent.get(group, {}), change.get(group, {})
         keys = sorted(before.keys() | after.keys())
-        differing = [key for key in keys if before.get(key) != after.get(key)]
         moved: dict[str, list[float]] = {}
-        for key in differing:
-            a, b = before.get(key, {}), after.get(key, {})
-            for name in a.keys() | b.keys():
-                if name not in a or name not in b or a[name] != b[name]:
-                    moved.setdefault(name, []).append(largest_relative(a.get(name),
-                                                                       b.get(name)))
-        differ.extend(f"{group}/{key}" for key in differing)
-        fields[group] = {"identical": len(keys) - len(differing), "of": len(keys),
+        added_checks: dict[str, dict[str, int]] = {}
+        added_keys: dict[str, int] = {}
+        identical = 0
+        for key in keys:
+            if key in before and key in after:
+                changes, checks, names = _record_diff(before[key], after[key])
+            else:
+                record = before[key] if key in before else after[key]
+                changes = {name: math.inf for name in record}
+                checks, names = {}, []
+            for name, passed in checks.items():
+                count = added_checks.setdefault(name, {"passed": 0, "of": 0})
+                count["passed"] += passed
+                count["of"] += 1
+            for name in names:
+                added_keys[name] = added_keys.get(name, 0) + 1
+            if not changes:
+                identical += 1
+                continue
+            differ.append(f"{group}/{key}")
+            for name, change_size in changes.items():
+                moved.setdefault(name, []).append(change_size)
+        fields[group] = {"identical": identical, "of": len(keys),
                          "moved": {name: {"differs": len(changes),
                                           "largest_relative": max(changes)}
                                    for name, changes in sorted(moved.items())}}
+        if added_checks:
+            fields[group]["added_checks"] = dict(sorted(added_checks.items()))
+        if added_keys:
+            fields[group]["added_keys"] = dict(sorted(added_keys.items()))
     return differ, fields
 
 

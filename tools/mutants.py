@@ -156,6 +156,19 @@ MUTANTS = (
            "    if not isinstance(doc, dict):\n        raise GraphFormatError(not_object)\n",
            "",
            "the reader passes a top level that is not an object on to its callers"),
+    Mutant("graphs.py", "    if last is not None and last[0] == text:",
+           "    if last is not None:",
+           "the parse memo hands any document the graph of the last one"),
+    Mutant("graphs.py",
+           "    if g._faults:\n        raise GraphFormatError(g._faults[0])\n"
+           "    # one tuple, so that no reader pairs one text with another's graph\n"
+           "    _last = (text, g)\n",
+           "    _last = (text, g)\n"
+           "    if g._faults:\n        raise GraphFormatError(g._faults[0])\n",
+           "the parse memo keeps a document refused for a value fault, and returns its "
+           "graph on the next call"),
+    Mutant("graphs.py", "    if not g._is_connected:", "    if not _connected(g):",
+           "validate runs the connectivity search again on every call"),
 )
 
 
