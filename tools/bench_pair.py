@@ -25,16 +25,15 @@ matched by name, under ``added_checks`` and probe or spectrum keys under
 ``added_keys``, neither of which makes an answer differ; also printed to
 stderr), ``code_lines`` (per side, the code lines of each
 ``src/kwgraph/*.py`` module and their total: non-blank lines that are
-neither comments nor docstrings), ``work`` and
-``work_identical``, every run's end-to-end metrics with
-``failed``/``attempted``, and per workload each side's median and
-quartiles, the number of pairs the working tree won, each side's pooled
-``failed``/``attempted`` and their ``share``, and the seeds whose failed
-share differs between the sides (also printed to stderr). When the
-pooled shares differ although every seed's share is equal, it prints
-that the gap comes from pass counts alone: runs end after whole passes,
-so the pooled share weighs each seed by the number of passes its side
-ran.
+neither comments nor docstrings), ``work`` and ``work_identical``,
+every run's end-to-end metrics with ``failed``/``attempted``, and per
+workload each side's median and quartiles, the number of pairs the
+working tree won, each side's pooled ``failed``/``attempted`` and their
+``share``, and the seeds whose failed share differs between the sides
+(also printed to stderr). When the pooled shares differ although every
+seed's share is equal, it prints that the gap comes from pass counts
+alone: runs end after whole passes, so the pooled share weighs each
+seed by the number of passes its side ran.
 """
 
 from __future__ import annotations
@@ -198,7 +197,7 @@ def _record_diff(a: dict, b: dict) -> tuple[dict[str, float], dict[str, bool], l
     added_checks: dict[str, bool] = {}
     added_keys: list[str] = []
     solve = "status" in a or "status" in b
-    for name in sorted(a.keys() | b.keys()):
+    for name in a.keys() | b.keys():
         if name == "checks" and name in a and name in b:
             before = {check[0]: check[1:] for check in a[name]}
             after = {check[0]: check[1:] for check in b[name]}
@@ -238,10 +237,10 @@ def compare_answers(parent: dict, change: dict) -> tuple[list[str], dict]:
         identical = 0
         for key in keys:
             if key in before and key in after:
-                changes, checks, names = _record_diff(before[key], after[key])
+                diff, checks, names = _record_diff(before[key], after[key])
             else:
                 record = before[key] if key in before else after[key]
-                changes = {name: math.inf for name in record}
+                diff = {name: math.inf for name in record}
                 checks, names = {}, []
             for name, passed in checks.items():
                 count = added_checks.setdefault(name, {"passed": 0, "of": 0})
@@ -249,12 +248,12 @@ def compare_answers(parent: dict, change: dict) -> tuple[list[str], dict]:
                 count["of"] += 1
             for name in names:
                 added_keys[name] = added_keys.get(name, 0) + 1
-            if not changes:
+            if not diff:
                 identical += 1
                 continue
             differ.append(f"{group}/{key}")
-            for name, change_size in changes.items():
-                moved.setdefault(name, []).append(change_size)
+            for name, relative in diff.items():
+                moved.setdefault(name, []).append(relative)
         fields[group] = {"identical": identical, "of": len(keys),
                          "moved": {name: {"differs": len(changes),
                                           "largest_relative": max(changes)}
